@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.cluster.hierarchy import cophenet, linkage
 from scipy.spatial.distance import squareform
-from scipy.stats import skew
 
 from .core import symmetrize
 from .exceptions import DegenerateStructure, InvalidInput
@@ -138,12 +137,23 @@ def cophenetic_coeff(c: np.ndarray) -> float:
     return float(coph)
 
 
+def _skew(x: np.ndarray) -> float:
+    """Biased sample skewness m3 / m2^1.5; 0.0 when x is constant up to
+    rounding (m2 <= (eps * mean)^2, where scipy.stats.skew reads NaN)."""
+    mean = x.mean()
+    dev = x - mean
+    m2 = np.mean(dev ** 2)
+    if m2 <= (np.finfo(float).eps * mean) ** 2:
+        return 0.0
+    return float(np.mean(dev ** 2 * dev) / m2 ** 1.5)
+
+
 def stylized_report(c, q_ratio: float = DEFAULT_Q_RATIO) -> StylizedFactReport:
     c = symmetrize(c)
     n = c.shape[0]
     off = c[~np.eye(n, dtype=bool)]
     sf1_mean = float(off.mean())
-    sf1_skew = float(skew(off)) if off.std() > 0 else 0.0
+    sf1_skew = _skew(off)
 
     w, v = np.linalg.eigh(c)
     lam_minus, lam_plus = mp_bounds(q_ratio)
@@ -175,36 +185,42 @@ def stylized_report(c, q_ratio: float = DEFAULT_Q_RATIO) -> StylizedFactReport:
 
 
 def _kmedoids(d: np.ndarray, k: int, max_iter: int = 100):
-    """Deterministic PAM: greedy build then swap until no improvement."""
+    """Deterministic PAM: greedy build then first-improvement swaps.
+
+    Every candidate of a build step or a swap is scored at once.  Row c of
+    ``dt`` holds the distances of all points to candidate c, so each score
+    is summed exactly as ``d[:, medoids].min(axis=1).sum()`` would be.
+    A swap takes the first candidate, in index order from the scan
+    position, that lowers the cost by more than 1e-12, then the scan goes
+    on from the next candidate against the new medoid set.
+    """
     n = d.shape[0]
+    dt = np.ascontiguousarray(d.T)
     medoids = [int(np.argmin(d.sum(axis=0)))]
     while len(medoids) < k:
-        best_gain, best_c = -np.inf, None
         cur = d[:, medoids].min(axis=1)
-        for cand in range(n):
-            if cand in medoids:
-                continue
-            gain = np.sum(np.maximum(cur - d[:, cand], 0.0))
-            if gain > best_gain:
-                best_gain, best_c = gain, cand
-        medoids.append(best_c)
+        gain = np.maximum(cur - dt, 0.0).sum(axis=1)
+        gain[medoids] = -np.inf
+        medoids.append(int(np.argmax(gain)))
     medoids = sorted(medoids)
 
-    def cost(ms):
-        return float(d[:, ms].min(axis=1).sum())
-
-    best = cost(medoids)
+    best = float(d[:, medoids].min(axis=1).sum())
     for _ in range(max_iter):
         improved = False
         for mi in range(k):
-            for cand in range(n):
-                if cand in medoids:
-                    continue
-                trial = sorted(medoids[:mi] + [cand] + medoids[mi + 1:])
-                ctrial = cost(trial)
-                if ctrial < best - 1e-12:
-                    medoids, best = trial, ctrial
-                    improved = True
+            start = 0
+            while start < n:
+                others = medoids[:mi] + medoids[mi + 1:]
+                base = np.min(d[:, others], axis=1, initial=np.inf)
+                cost = np.minimum(base, dt[start:]).sum(axis=1)
+                cost[[m - start for m in medoids if m >= start]] = np.inf
+                hits = np.flatnonzero(cost < best - 1e-12)
+                if hits.size == 0:
+                    break
+                cand = start + int(hits[0])
+                medoids, best = sorted(others + [cand]), float(cost[hits[0]])
+                improved = True
+                start = cand + 1
         if not improved:
             break
     labels = np.argmin(d[:, medoids], axis=1)
@@ -212,23 +228,24 @@ def _kmedoids(d: np.ndarray, k: int, max_iter: int = 100):
 
 
 def _silhouette(d: np.ndarray, labels: np.ndarray) -> float:
+    """Mean silhouette; a point alone in its cluster scores 0."""
     n = d.shape[0]
-    uniq = np.unique(labels)
+    uniq, inv = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         return -1.0
+    onehot = np.eye(uniq.size)[inv]
+    sums = d @ onehot
+    counts = onehot.sum(axis=0)
+    rows = np.arange(n)
+    own = counts[inv] - 1
+    a = (sums[rows, inv] - np.diag(d)) / np.maximum(own, 1)
+    means = sums / counts
+    means[rows, inv] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
     s = np.zeros(n)
-    for i in range(n):
-        own = labels[i]
-        mask_own = (labels == own) & (np.arange(n) != i)
-        if not mask_own.any():
-            # singleton cluster: silhouette defined as 0
-            continue
-        a = d[i, mask_own].mean()
-        b = min(
-            d[i, labels == other].mean() for other in uniq if other != own
-        )
-        denom = max(a, b)
-        s[i] = 0.0 if denom == 0 else (b - a) / denom
+    ok = (own > 0) & (denom > 0)
+    s[ok] = (b[ok] - a[ok]) / denom[ok]
     return float(s.mean())
 
 

@@ -4,24 +4,23 @@ One simulation: draw a regime-conditioned correlation matrix, extract
 its feature vector, backtest each allocation method on synthetic
 returns, and record per-method in/out-of-sample risk.  A linear
 surrogate model fitted on the records is then explained with exact
-Shapley values (coalition enumeration), attributing outperformance or
-performance decay to correlation-structure features.
+Shapley values (the closed form for a linear model), attributing
+outperformance or performance decay to correlation-structure features.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
 from . import rng
-from .exceptions import InvalidInput, RankDeficient, Unsupported
+from .exceptions import CorrlabError, InvalidInput, RankDeficient
 from .facts import FEATURE_NAMES, FeatureVector, feature_vector
-from .portfolio import METHODS, RiskReport, backtest, default_vols
+from .portfolio import METHODS, RiskReport, backtest_methods, default_vols
 from .samplers import RegimeLabel, sample_regime
 
 RECORD_SCHEMA_VERSION = 1
@@ -95,13 +94,10 @@ def _simulate_one(generator_fn, regime, stream, config) -> McRecord:
     corr = generator_fn(regime, stream)
     feats = feature_vector(corr)
     vols = default_vols(config.dim, config.seed, stream=rng.mix(stream, 3))
-    reports = {
-        m: backtest(
-            corr, vols, m, config.t_in, config.t_out,
-            seed=rng.mix(config.seed, stream),
-        )
-        for m in METHODS
-    }
+    reports = backtest_methods(
+        corr, vols, METHODS, config.t_in, config.t_out,
+        seed=rng.mix(config.seed, stream),
+    )
     return McRecord(regime, feats, reports, config.seed, stream)
 
 
@@ -115,8 +111,9 @@ def run(
     the thread count (records are merged by stream index).
 
     ``generator_fn(regime, stream) -> matrix`` defaults to the surrogate
-    regime sampler.  A failing draw is skipped with a logged reason,
-    never retried with a different seed.
+    regime sampler.  A draw that fails with a ``CorrlabError`` is skipped
+    with a logged reason, never retried with a different seed; any other
+    exception propagates.
     """
     if config.count_per_regime < 1:
         raise InvalidInput("count_per_regime must be >= 1")
@@ -135,7 +132,7 @@ def run(
         regime, stream = task
         try:
             return _simulate_one(generator_fn, regime, stream, config)
-        except Exception as exc:
+        except CorrlabError as exc:
             if on_error == "raise":
                 raise
             return ("skipped", stream, repr(exc))
@@ -264,36 +261,22 @@ def shapley(
     x: np.ndarray,
     background: np.ndarray,
 ) -> ShapleyAttribution:
-    """Exact interventional Shapley values by coalition enumeration.
+    """Exact interventional Shapley values of the linear surrogate.
 
     The value of coalition S is the model prediction with features
-    outside S replaced by background means.  Exact for <= 12 features.
+    outside S replaced by background means.  For a linear model this has
+    the closed form phi_i = beta_i * (x_i - b_i) / sigma_i (Lundberg & Lee,
+    2017), with b the background mean and beta the coefficients on
+    features standardized by sigma.
     """
     x = np.asarray(x, dtype=float)
-    k = x.size
-    if k > 12:
-        raise Unsupported("exact enumeration limited to 12 features")
     bg = np.asarray(background, dtype=float)
     base_x = bg.mean(axis=0) if bg.ndim == 2 else bg
-
-    def value(mask):
-        z = np.where(mask, x, base_x)
-        return float(model.predict(z[None, :])[0])
-
-    phi = np.zeros(k)
-    for i in range(k):
-        others = [j for j in range(k) if j != i]
-        for size in range(k):
-            weight = 1.0 / (k * comb(k - 1, size))
-            for s in combinations(others, size):
-                mask = np.zeros(k, dtype=bool)
-                mask[list(s)] = True
-                v_without = value(mask)
-                mask[i] = True
-                v_with = value(mask)
-                phi[i] += weight * (v_with - v_without)
-    baseline = value(np.zeros(k, dtype=bool))
-    prediction = value(np.ones(k, dtype=bool))
+    xs = (x - model.feature_means) / model.feature_stds
+    bs = (base_x - model.feature_means) / model.feature_stds
+    phi = model.coefficients * (xs - bs)
+    baseline = float(model.predict(base_x[None, :])[0])
+    prediction = float(model.predict(x[None, :])[0])
     return ShapleyAttribution(phi, baseline, prediction)
 
 
@@ -302,12 +285,15 @@ def shapley(
 
 
 def bootstrap_ci(values, stat_fn=np.mean, n_boot=1000, alpha=0.05, seed=0):
+    """Percentile bootstrap interval of ``stat_fn(sample, axis=1)``.
+
+    All ``n_boot`` resamples are drawn in one call, one row each; the
+    draws equal those of ``n_boot`` successive calls of size ``len(values)``.
+    """
     values = np.asarray(values)
     g = rng.generator(seed, 0)
-    stats = np.empty(n_boot)
-    for b in range(n_boot):
-        idx = g.integers(0, len(values), size=len(values))
-        stats[b] = stat_fn(values[idx])
+    idx = g.integers(0, len(values), size=(n_boot, len(values)))
+    stats = stat_fn(values[idx], axis=1)
     lo, hi = np.percentile(stats, [100 * alpha / 2, 100 * (1 - alpha / 2)])
     return float(lo), float(hi)
 

@@ -57,9 +57,10 @@ def ivp_weights(cov) -> np.ndarray:
     return w / w.sum()
 
 
-def _cluster_var(cov: np.ndarray, idx) -> float:
-    sub = cov[np.ix_(idx, idx)]
-    w = ivp_weights(sub)
+def _cluster_var(sub: np.ndarray) -> float:
+    """Variance of the inverse-variance portfolio of one cluster."""
+    w = 1.0 / np.diag(sub)
+    w = w / w.sum()
     return float(w @ sub @ w)
 
 
@@ -80,22 +81,25 @@ def hrp_weights(cov) -> np.ndarray:
     np.fill_diagonal(corr, 1.0)
     order = quasi_diag_order(corr)
 
+    # in quasi-diagonal order every bisection cluster is a contiguous block
+    p = cov[np.ix_(order, order)]
     n = cov.shape[0]
-    w = np.ones(n)
-    stack = [order]
+    wp = np.ones(n)
+    stack = [(0, n)]
     while stack:
-        items = stack.pop()
-        if len(items) <= 1:
+        a, b = stack.pop()
+        if b - a <= 1:
             continue
-        half = len(items) // 2
-        left, right = items[:half], items[half:]
-        var_l = _cluster_var(cov, left)
-        var_r = _cluster_var(cov, right)
+        m = a + (b - a) // 2
+        var_l = _cluster_var(p[a:m, a:m])
+        var_r = _cluster_var(p[m:b, m:b])
         alpha = 1.0 - var_l / (var_l + var_r)
-        w[left] = w[left] * alpha
-        w[right] = w[right] * (1.0 - alpha)
-        stack.append(left)
-        stack.append(right)
+        wp[a:m] *= alpha
+        wp[m:b] *= 1.0 - alpha
+        stack.append((a, m))
+        stack.append((m, b))
+    w = np.empty(n)
+    w[order] = wp
     return _check_weights(w)
 
 
@@ -142,6 +146,46 @@ def default_vols(dim: int, seed: int, stream: int = 0,
     return np.exp(g.normal(np.log(0.2 / ANNUALIZATION), sigma, size=dim))
 
 
+def backtest_methods(
+    corr,
+    vols,
+    methods,
+    t_in: int,
+    t_out: int,
+    seed: int,
+) -> dict:
+    """Backtest several allocators on one pair of return panels.
+
+    The panels depend only on ``corr``, ``vols``, the lengths and ``seed``,
+    so they are drawn and the in-sample covariance estimated once; each
+    report equals the one ``backtest`` gives for that method.  Returns
+    ``{method: RiskReport}`` in the order of ``methods``.
+    """
+    corr = symmetrize(corr)
+    dim = corr.shape[0]
+    for method in methods:
+        if method not in METHODS:
+            raise InvalidInput(f"method must be one of {METHODS}")
+    if t_in < dim + 2 or t_out < dim + 2:
+        raise InvalidInput("panels must have at least dim + 2 observations")
+
+    panel_in = simulate_returns(corr, vols, t_in, seed, stream=1)
+    panel_out = simulate_returns(corr, vols, t_out, seed, stream=2)
+    cov_hat = np.cov(panel_in, rowvar=False, ddof=1)
+
+    reports = {}
+    for method in methods:
+        w = weights_for(method, cov_hat)
+        r_in = panel_in @ w
+        r_out = panel_out @ w
+        reports[method] = RiskReport(
+            in_sample_vol=float(r_in.std(ddof=1) * ANNUALIZATION),
+            out_sample_vol=float(r_out.std(ddof=1) * ANNUALIZATION),
+            max_drawdown=max_drawdown(r_out),
+        )
+    return reports
+
+
 def backtest(
     corr,
     vols,
@@ -151,22 +195,4 @@ def backtest(
     seed: int,
 ) -> RiskReport:
     """Fit weights on an in-sample panel, measure risk in and out of sample."""
-    corr = symmetrize(corr)
-    dim = corr.shape[0]
-    if method not in METHODS:
-        raise InvalidInput(f"method must be one of {METHODS}")
-    if t_in < dim + 2 or t_out < dim + 2:
-        raise InvalidInput("panels must have at least dim + 2 observations")
-
-    panel_in = simulate_returns(corr, vols, t_in, seed, stream=1)
-    panel_out = simulate_returns(corr, vols, t_out, seed, stream=2)
-    cov_hat = np.cov(panel_in, rowvar=False, ddof=1)
-
-    w = weights_for(method, cov_hat)
-    r_in = panel_in @ w
-    r_out = panel_out @ w
-    return RiskReport(
-        in_sample_vol=float(r_in.std(ddof=1) * ANNUALIZATION),
-        out_sample_vol=float(r_out.std(ddof=1) * ANNUALIZATION),
-        max_drawdown=max_drawdown(r_out),
-    )
+    return backtest_methods(corr, vols, (method,), t_in, t_out, seed)[method]

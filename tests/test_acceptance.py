@@ -21,6 +21,7 @@ from corrlab.facts import stylized_report
 from corrlab.gan import GanConfig, REGIMES
 from corrlab.geometry import MeanMethod
 from corrlab.samplers import RegimeLabel
+from shapley_oracle import shapley_enumeration
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +307,26 @@ def test_a10_findings_reproduction(mc_records):
 def test_a11_shapley_exactness(mc_records):
     model = mc.fit_surrogate(mc_records, target="outperformance")
     bg = mc.design_matrix(mc_records)
-    base_std = (bg.mean(axis=0) - model.feature_means) / model.feature_stds
-    worst_closed, worst_eff = 0.0, 0.0
+    worst_oracle, worst_eff = 0.0, 0.0
     for record in mc_records[:10]:
         x = record.features.to_array()
         att = mc.shapley(model, x, bg)
-        xs = (x - model.feature_means) / model.feature_stds
-        closed = model.coefficients * (xs - base_std)
-        worst_closed = max(worst_closed, np.max(np.abs(att.phi - closed)))
+        phi, baseline, prediction = shapley_enumeration(model, x, bg)
+        worst_oracle = max(
+            worst_oracle,
+            np.max(np.abs(att.phi - phi)),
+            abs(att.baseline - baseline),
+            abs(att.prediction - prediction),
+        )
         worst_eff = max(
             worst_eff,
             abs(att.phi.sum() - (att.prediction - att.baseline)),
         )
-    assert worst_closed < 1e-10
+    assert worst_oracle < 1e-10
     assert worst_eff < 1e-10
-    print(f"A11 PASS: closed form gap {worst_closed:.2e}, efficiency gap "
-          f"{worst_eff:.2e} on 10 emitted attributions (R2 {model.r2:.2f})")
+    print(f"A11 PASS: coalition-enumeration gap {worst_oracle:.2e}, "
+          f"efficiency gap {worst_eff:.2e} on 10 emitted attributions "
+          f"(R2 {model.r2:.2f})")
 
 
 def test_a12_repro_determinism(tmp_path):

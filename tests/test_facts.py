@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from corrlab import facts
 from corrlab.exceptions import DegenerateStructure, InvalidInput
@@ -16,6 +17,64 @@ def block_matrix(dim=10, within=0.8, between=0.1):
     c[half:, half:] = within
     np.fill_diagonal(c, 1.0)
     return c
+
+
+def kmedoids_reference(d, k, max_iter=100):
+    """Loop PAM, one candidate at a time: the reference for _kmedoids."""
+    n = d.shape[0]
+    medoids = [int(np.argmin(d.sum(axis=0)))]
+    while len(medoids) < k:
+        best_gain, best_c = -np.inf, None
+        cur = d[:, medoids].min(axis=1)
+        for cand in range(n):
+            if cand in medoids:
+                continue
+            gain = np.sum(np.maximum(cur - d[:, cand], 0.0))
+            if gain > best_gain:
+                best_gain, best_c = gain, cand
+        medoids.append(best_c)
+    medoids = sorted(medoids)
+
+    def cost(ms):
+        return float(d[:, ms].min(axis=1).sum())
+
+    best = cost(medoids)
+    for _ in range(max_iter):
+        improved = False
+        for mi in range(k):
+            for cand in range(n):
+                if cand in medoids:
+                    continue
+                trial = sorted(medoids[:mi] + [cand] + medoids[mi + 1:])
+                ctrial = cost(trial)
+                if ctrial < best - 1e-12:
+                    medoids, best = trial, ctrial
+                    improved = True
+        if not improved:
+            break
+    labels = np.argmin(d[:, medoids], axis=1)
+    return np.asarray(medoids), labels
+
+
+def silhouette_reference(d, labels):
+    """Per-point loop silhouette: the reference for _silhouette."""
+    n = d.shape[0]
+    uniq = np.unique(labels)
+    if uniq.size < 2:
+        return -1.0
+    s = np.zeros(n)
+    for i in range(n):
+        own = labels[i]
+        mask_own = (labels == own) & (np.arange(n) != i)
+        if not mask_own.any():
+            continue
+        a = d[i, mask_own].mean()
+        b = min(
+            d[i, labels == other].mean() for other in uniq if other != own
+        )
+        denom = max(a, b)
+        s[i] = 0.0 if denom == 0 else (b - a) / denom
+    return float(s.mean())
 
 
 def test_mp_bounds_closed_form():
@@ -122,6 +181,13 @@ class TestStylizedReport:
         lo, hi = r.sf2_mp_bounds
         assert lo <= hi
 
+    @pytest.mark.parametrize("regime", list(RegimeLabel))
+    def test_skew_matches_scipy(self, regime):
+        for stream in range(10):
+            c = sample_regime(regime, 16, seed=2, stream=stream)
+            off = c[~np.eye(16, dtype=bool)]
+            assert facts.stylized_report(c).sf1_skew == stats.skew(off)
+
 
 class TestClustering:
     def test_block_matrix_separates(self):
@@ -137,6 +203,37 @@ class TestClustering:
         a = facts._kmedoids(d, 2)
         b = facts._kmedoids(d, 2)
         assert np.array_equal(a[1], b[1])
+
+    @staticmethod
+    def _assert_matches_reference(c):
+        d = facts.corr_distance(c)
+        for k in range(2, 7):
+            medoids, labels = facts._kmedoids(d, k)
+            ref_medoids, ref_labels = kmedoids_reference(d, k)
+            assert np.array_equal(medoids, ref_medoids), k
+            assert np.array_equal(labels, ref_labels), k
+            sil = facts._silhouette(d, labels)
+            assert abs(sil - silhouette_reference(d, labels)) <= 1e-12, k
+
+    @pytest.mark.parametrize("dim", [8, 16, 24, 40, 80])
+    def test_matches_loop_reference(self, dim):
+        for regime in RegimeLabel:
+            for stream in range(3):
+                self._assert_matches_reference(
+                    sample_regime(regime, dim, seed=dim, stream=stream)
+                )
+
+    def test_tied_block_matrix_matches_loop_reference(self):
+        self._assert_matches_reference(block_matrix())
+        self._assert_matches_reference(block_matrix(12, 0.7, 0.2))
+
+    def test_silhouette_singleton_and_single_cluster(self):
+        d = facts.corr_distance(block_matrix(6))
+        labels = np.array([0, 0, 0, 1, 1, 2])
+        assert facts._silhouette(d, labels) == pytest.approx(
+            silhouette_reference(d, labels), abs=1e-12
+        )
+        assert facts._silhouette(d, np.zeros(6, dtype=int)) == -1.0
 
 
 class TestFeatureVector:

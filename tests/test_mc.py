@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from corrlab import mc
-from corrlab.exceptions import InvalidInput, RankDeficient, Unsupported
+from corrlab import rng
+from corrlab.exceptions import InvalidInput, NotPositiveDefinite, RankDeficient
 from corrlab.facts import FEATURE_NAMES, FeatureVector
 from corrlab.mc import McConfig, SurrogateModel
 from corrlab.portfolio import RiskReport
-from corrlab.samplers import RegimeLabel
+from corrlab.samplers import RegimeLabel, sample_regime
+from shapley_oracle import shapley_enumeration
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +46,25 @@ class TestRun:
     def test_skip_on_failure(self, capsys):
         def bad_gen(regime, stream):
             if stream == 1:
-                raise ValueError("boom")
-            from corrlab.samplers import sample_regime
+                raise NotPositiveDefinite("boom")
             return sample_regime(regime, 16, seed=0, stream=stream)
 
         cfg = McConfig(count_per_regime=2, dim=16, t_in=40, t_out=40, seed=1)
         out = mc.run(cfg, generator_fn=bad_gen)
         assert len(out) == 5
-        assert "stream 1 skipped" in capsys.readouterr().out
+        log = capsys.readouterr().out
+        assert "stream 1 skipped: NotPositiveDefinite('boom')" in log
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_programming_error_propagates(self, threads):
+        def broken_gen(regime, stream):
+            if stream == 1:
+                raise TypeError("bug")
+            return sample_regime(regime, 16, seed=0, stream=stream)
+
+        cfg = McConfig(count_per_regime=2, dim=16, t_in=40, t_out=40, seed=1)
+        with pytest.raises(TypeError, match="bug"):
+            mc.run(cfg, generator_fn=broken_gen, threads=threads)
 
     def test_rejects_bad_count(self):
         with pytest.raises(InvalidInput):
@@ -131,6 +144,17 @@ class TestShapley:
             r2=1.0,
         )
 
+    def _random_model(self, k, seed):
+        g = np.random.Generator(np.random.PCG64(seed))
+        return SurrogateModel(
+            coefficients=g.standard_normal(k),
+            intercept=float(g.standard_normal()),
+            feature_means=g.standard_normal(k),
+            feature_stds=g.uniform(0.2, 3.0, k),
+            target="outperformance",
+            r2=1.0,
+        )
+
     def test_linear_closed_form(self):
         g = np.random.Generator(np.random.PCG64(5))
         model = self._model()
@@ -148,13 +172,59 @@ class TestShapley:
         att = mc.shapley(model, x, bg)
         assert abs(att.phi.sum() - (att.prediction - att.baseline)) < 1e-10
 
-    def test_too_many_features(self):
-        model = self._model()
-        with pytest.raises(Unsupported):
-            mc.shapley(model, np.zeros(13), np.zeros((5, 13)))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_coalition_enumeration(self, seed):
+        g = np.random.Generator(np.random.PCG64(10 + seed))
+        model = self._random_model(8, seed)
+        bg = g.standard_normal((40, 8))
+        x = g.standard_normal(8)
+        att = mc.shapley(model, x, bg)
+        phi, baseline, prediction = shapley_enumeration(model, x, bg)
+        assert np.max(np.abs(att.phi - phi)) < 1e-10
+        assert att.baseline == pytest.approx(baseline, abs=1e-12)
+        assert att.prediction == pytest.approx(prediction, abs=1e-12)
+
+    def test_more_than_twelve_features(self):
+        g = np.random.Generator(np.random.PCG64(8))
+        model = self._random_model(13, 3)
+        bg = g.standard_normal((30, 13))
+        x = g.standard_normal(13)
+        att = mc.shapley(model, x, bg)
+        closed = (
+            model.coefficients * (x - bg.mean(axis=0)) / model.feature_stds
+        )
+        assert att.phi.shape == (13,)
+        assert np.max(np.abs(att.phi - closed)) < 1e-10
+        assert abs(att.phi.sum() - (att.prediction - att.baseline)) < 1e-10
+
+
+def bootstrap_ci_loop(values, stat_fn=np.mean, n_boot=1000, alpha=0.05,
+                      seed=0):
+    """One resample per generator call: the reference for bootstrap_ci."""
+    values = np.asarray(values)
+    g = rng.generator(seed, 0)
+    stats = np.empty(n_boot)
+    for b in range(n_boot):
+        idx = g.integers(0, len(values), size=len(values))
+        stats[b] = stat_fn(values[idx])
+    lo, hi = np.percentile(stats, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    return float(lo), float(hi)
 
 
 class TestFindings:
+    @pytest.mark.parametrize("n", [1, 30, 31, 90, 300])
+    def test_bootstrap_ci_matches_loop(self, n):
+        g = np.random.Generator(np.random.PCG64(n))
+        vals = g.normal(0.0, 1.0, n)
+        for stat_fn in (np.mean, np.median):
+            assert mc.bootstrap_ci(vals, stat_fn, seed=n) == \
+                bootstrap_ci_loop(vals, stat_fn, seed=n)
+
+    def test_regime_findings_match_loop_bootstrap(self, records, monkeypatch):
+        got = mc.regime_findings(records, seed=5)
+        monkeypatch.setattr(mc, "bootstrap_ci", bootstrap_ci_loop)
+        assert got == mc.regime_findings(records, seed=5)
+
     def test_bootstrap_ci_brackets_mean(self):
         g = np.random.Generator(np.random.PCG64(7))
         vals = g.normal(2.0, 0.5, 500)

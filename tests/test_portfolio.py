@@ -126,7 +126,33 @@ def test_max_drawdown_oracle():
     assert portfolio.max_drawdown(np.array([0.1, 0.2])) == 0.0
 
 
+def backtest_reference(corr, vols, method, t_in, t_out, seed):
+    """One method on its own freshly drawn panels."""
+    panel_in = portfolio.simulate_returns(corr, vols, t_in, seed, stream=1)
+    panel_out = portfolio.simulate_returns(corr, vols, t_out, seed, stream=2)
+    w = portfolio.weights_for(method, np.cov(panel_in, rowvar=False, ddof=1))
+    r_in, r_out = panel_in @ w, panel_out @ w
+    return portfolio.RiskReport(
+        in_sample_vol=float(r_in.std(ddof=1) * portfolio.ANNUALIZATION),
+        out_sample_vol=float(r_out.std(ddof=1) * portfolio.ANNUALIZATION),
+        max_drawdown=portfolio.max_drawdown(r_out),
+    )
+
+
 class TestBacktest:
+    @pytest.mark.parametrize("regime", list(RegimeLabel))
+    def test_shared_panels_equal_per_method(self, regime):
+        corr = sample_regime(regime, 12, seed=3, stream=1)
+        vols = portfolio.default_vols(12, seed=3)
+        shared = portfolio.backtest_methods(
+            corr, vols, portfolio.METHODS, 60, 80, seed=9
+        )
+        assert list(shared) == list(portfolio.METHODS)
+        for m in portfolio.METHODS:
+            ref = backtest_reference(corr, vols, m, 60, 80, seed=9)
+            assert shared[m] == ref
+            assert portfolio.backtest(corr, vols, m, 60, 80, seed=9) == ref
+
     def test_report_fields(self):
         corr = sample_regime(RegimeLabel.NORMAL, 8, seed=1, stream=0)
         vols = portfolio.default_vols(8, seed=1)
