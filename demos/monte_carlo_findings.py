@@ -17,7 +17,7 @@ from corrlab.facts import FEATURE_NAMES
 config = mc.McConfig(count_per_regime=100, dim=24, seed=2024)
 print(f"Running {3 * config.count_per_regime} simulations "
       f"(dim {config.dim}, {config.t_in} in / {config.t_out} out days)...\n")
-records = mc.run(config, threads=8)
+records = mc.run(config)
 
 findings = mc.regime_findings(records)
 print("HRP vs IVP, out-of-sample volatility:")

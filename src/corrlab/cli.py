@@ -2,10 +2,25 @@
 
 Exit codes: 0 success, 2 invalid arguments, 3 data errors, 4 numerical
 failures.  Every JSON artifact embeds a provenance block (tool version,
-SHA-256 of the governing config, master seed); ``repro`` runs the whole
-surrogate pipeline (corpus -> train -> generate -> evaluate -> mc ->
-findings) from one config file and reuses artifacts whose embedded config
-hash matches.
+SHA-256 of the governing config, master seed).
+
+``repro`` runs the whole surrogate pipeline from one config file as five
+stages, each keyed on the canonical JSON of its own sub-config plus the
+keys of the stages it reads:
+
+* corpus: ``corpus``;
+* train: ``gan`` and the corpus key;
+* generate: ``generate`` and the train key;
+* evaluate: ``eval`` and the corpus and generate keys;
+* mc, findings and shap: ``mc`` only (the study draws from the regime
+  sampler, not the GAN).
+
+A stage's key is the ``config_sha256`` of its provenance block, stored in
+``provenance.json`` for the corpus, ckpt and synth directories and inside
+``evaluation.json`` and ``shap.json``.  A rerun rebuilds a stage only under
+``--force`` or when that block is missing, unreadable or different, and a
+stage it skips reads nothing back; so changing ``mc.seed`` reruns only the
+study, and the reused files are byte-identical to rebuilt ones.
 """
 
 from __future__ import annotations
@@ -18,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, core, evaluation, gan, geometry, mc, portfolio
+from . import __version__, core, evaluation, gan, geometry, mc, portfolio, rng
 from . import corpus as corpus_mod
 from .exceptions import (
     CorrlabError,
@@ -327,9 +342,10 @@ def cmd_mc(args):
             ckpt = gan.load_checkpoint(cfg["checkpoint"])
 
             def gen_fn(regime, stream):
-                return gan.sample(ckpt, regime, 1, seed=stream).matrices[0]
+                seed = rng.mix(config.seed, stream)
+                return gan.sample(ckpt, regime, 1, seed=seed).matrices[0]
 
-        records = mc.run(config, generator_fn=gen_fn, threads=args.threads)
+        records = mc.run(config, generator_fn=gen_fn)
         mc.write_records(records, args.out)
     elif args.mc_cmd == "explain":
         records = mc.read_records(args.records)
@@ -363,47 +379,56 @@ def cmd_mc(args):
 
 
 def cmd_repro(args):
-    cfg_bytes = Path(args.config).read_bytes()
-    cfg = json.loads(cfg_bytes)
+    cfg = json.loads(Path(args.config).read_bytes())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    prov = _provenance(cfg_bytes, cfg.get("seed", 0))
+    corpus_dir, ckpt_dir = out / "corpus", out / "ckpt"
+    synth_dir = out / "synth"
 
-    def fresh(path):
-        """True when the artifact must be (re)built."""
-        marker = Path(path) / "provenance.json"
-        if args.force or not marker.exists():
-            return True
+    def stage(*inputs):
+        """Provenance of a stage; its key hashes the stage's own sub-config
+        and the keys of the stages it reads."""
+        key_bytes = json.dumps(inputs, sort_keys=True).encode()
+        return _provenance(key_bytes, cfg.get("seed", 0))
+
+    def fresh(marker, prov):
+        """True when a stage must be (re)built: ``--force``, or ``marker``
+        (bare provenance, or JSON with a ``provenance`` block) does not hold
+        ``prov``.  A stale marker is deleted before the rebuild, so an
+        interrupted rebuild never passes for a finished one."""
         try:
             old = json.loads(marker.read_text())
-        except (OSError, json.JSONDecodeError):
-            return True
-        return old.get("config_sha256") != prov["config_sha256"]
+        except (OSError, ValueError):
+            old = None
+        if (not args.force and isinstance(old, dict)
+                and prov in (old, old.get("provenance"))):
+            return False
+        marker.unlink(missing_ok=True)
+        return True
 
     # 1. surrogate corpus
-    corpus_dir = out / "corpus"
-    if fresh(corpus_dir):
+    corpus_prov = stage(cfg["corpus"])
+    if fresh(corpus_dir / "provenance.json", corpus_prov):
         corp = corpus_mod.build_surrogate(
             cfg["corpus"]["count_per_regime"], cfg["corpus"]["dim"],
             seed=cfg["corpus"]["seed"],
         )
         corpus_mod.write_corpus(corp, corpus_dir)
-        _write_json(corpus_dir / "provenance.json", prov)
-    corp = corpus_mod.read_corpus(corpus_dir)
+        _write_json(corpus_dir / "provenance.json", corpus_prov)
 
     # 2. train
-    ckpt_dir = out / "ckpt"
-    if fresh(ckpt_dir):
+    train_prov = stage(cfg["gan"], corpus_prov["config_sha256"])
+    if fresh(ckpt_dir / "provenance.json", train_prov):
         config = gan.GanConfig.from_dict(cfg["gan"])
-        ckpt = gan.train(gan.build(config), corp)
+        ckpt = gan.train(gan.build(config), corpus_mod.read_corpus(corpus_dir))
         gan.save_checkpoint(ckpt, ckpt_dir)
-        _write_json(ckpt_dir / "provenance.json", prov)
-    ckpt = gan.load_checkpoint(ckpt_dir)
+        _write_json(ckpt_dir / "provenance.json", train_prov)
 
     # 3. generate
-    synth_dir = out / "synth"
     gen_cfg = cfg["generate"]
-    if fresh(synth_dir):
+    gen_prov = stage(gen_cfg, train_prov["config_sha256"])
+    if fresh(synth_dir / "provenance.json", gen_prov):
+        ckpt = gan.load_checkpoint(ckpt_dir)
         items = []
         for regime in gan.REGIMES:
             batch = gan.sample(ckpt, regime, gen_cfg["count_per_regime"],
@@ -417,40 +442,48 @@ def cmd_repro(args):
             meta={"generated": True},
         )
         corpus_mod.write_corpus(synth, synth_dir)
-        _write_json(synth_dir / "provenance.json", prov)
-    synth = corpus_mod.read_corpus(synth_dir)
+        _write_json(synth_dir / "provenance.json", gen_prov)
 
     # 4. evaluate
-    report = _evaluate_corpora(corp, synth, seed=cfg.get("eval", {}).get("seed", 0))
-    report["provenance"] = prov
-    _write_json(out / "evaluation.json", report)
+    eval_cfg = cfg.get("eval", {})
+    eval_prov = stage(eval_cfg, corpus_prov["config_sha256"],
+                      gen_prov["config_sha256"])
+    if fresh(out / "evaluation.json", eval_prov):
+        report = _evaluate_corpora(corpus_mod.read_corpus(corpus_dir),
+                                   corpus_mod.read_corpus(synth_dir),
+                                   seed=eval_cfg.get("seed", 0))
+        report["provenance"] = eval_prov
+        _write_json(out / "evaluation.json", report)
 
-    # 5. monte carlo + findings + attribution
+    # 5. monte carlo + findings + attribution (regime sampler, not the GAN)
     mc_cfg = cfg["mc"]
-    config = mc.McConfig(
-        count_per_regime=mc_cfg["count_per_regime"], dim=mc_cfg["dim"],
-        t_in=mc_cfg.get("t_in", 252), t_out=mc_cfg.get("t_out", 252),
-        seed=mc_cfg["seed"],
-    )
-    records = mc.run(config, threads=args.threads)
-    mc.write_records(records, out / "records.ecrec")
-    findings = mc.regime_findings(records)
-    _write_json(out / "findings.json", {"provenance": prov,
-                                        "findings": findings})
-    model = mc.fit_surrogate(records, target="outperformance")
-    bg = mc.design_matrix(records)
-    att = mc.shapley(model, records[0].features.to_array(), bg)
-    _write_json(out / "shap.json", {
-        "provenance": prov,
-        "target": "outperformance",
-        "r2": model.r2,
-        "coefficients": dict(zip(FEATURE_NAMES, model.coefficients.tolist())),
-        "example_attribution": {
-            "phi": dict(zip(FEATURE_NAMES, att.phi.tolist())),
-            "baseline": att.baseline,
-            "prediction": att.prediction,
-        },
-    })
+    mc_prov = stage(mc_cfg)
+    if fresh(out / "shap.json", mc_prov):
+        config = mc.McConfig(
+            count_per_regime=mc_cfg["count_per_regime"], dim=mc_cfg["dim"],
+            t_in=mc_cfg.get("t_in", 252), t_out=mc_cfg.get("t_out", 252),
+            seed=mc_cfg["seed"],
+        )
+        records = mc.run(config)
+        mc.write_records(records, out / "records.ndjson")
+        findings = mc.regime_findings(records)
+        _write_json(out / "findings.json", {"provenance": mc_prov,
+                                            "findings": findings})
+        model = mc.fit_surrogate(records, target="outperformance")
+        bg = mc.design_matrix(records)
+        att = mc.shapley(model, records[0].features.to_array(), bg)
+        _write_json(out / "shap.json", {
+            "provenance": mc_prov,
+            "target": "outperformance",
+            "r2": model.r2,
+            "coefficients": dict(zip(FEATURE_NAMES,
+                                     model.coefficients.tolist())),
+            "example_attribution": {
+                "phi": dict(zip(FEATURE_NAMES, att.phi.tolist())),
+                "baseline": att.baseline,
+                "prediction": att.prediction,
+            },
+        })
     return 0
 
 
@@ -461,6 +494,10 @@ def _args_bytes(args) -> bytes:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+_THREADS_HELP = ("accepted for compatibility and ignored: simulations run "
+                "serially, since a thread pool only contended for the GIL")
 
 
 def build_parser():
@@ -570,7 +607,7 @@ def build_parser():
     m1 = msub.add_parser("run")
     m1.add_argument("--config", required=True)
     m1.add_argument("--out", required=True)
-    m1.add_argument("--threads", type=int, default=1)
+    m1.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     m1.set_defaults(func=cmd_mc)
     m2 = msub.add_parser("explain")
     m2.add_argument("--records", required=True)
@@ -587,8 +624,9 @@ def build_parser():
     s = sub.add_parser("repro", help="full pipeline from one config")
     s.add_argument("--config", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--threads", type=int, default=1)
-    s.add_argument("--force", action="store_true")
+    s.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    s.add_argument("--force", action="store_true",
+                   help="rebuild every stage, even when its key matches")
     s.set_defaults(func=cmd_repro)
 
     return p

@@ -262,36 +262,62 @@ def write_corpus(corp: LabeledCorpus, directory):
     )
 
 
+_MANIFEST_KEYS = ("dim", "count", "labels", "source", "payload_sha256")
+
+
 def read_corpus(directory) -> LabeledCorpus:
-    """Read an ECORP v1 container, verifying version and checksum."""
+    """Read an ECORP v1 container, verifying version, manifest and checksum.
+
+    A malformed manifest (not JSON, a required key missing, a label count
+    other than ``count``, an unknown label or source) raises ``CorruptData``.
+    """
     directory = Path(directory)
     try:
         manifest = json.loads((directory / "manifest.json").read_text())
     except FileNotFoundError:
         raise CorruptData(f"no manifest.json in {directory}")
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise CorruptData(f"manifest.json is not JSON: {exc}")
+    if not isinstance(manifest, dict):
+        raise CorruptData("manifest.json is not a JSON object")
     if manifest.get("format") != "ECORP" or manifest.get("version") != ECORP_VERSION:
         raise UnsupportedVersion(
             f"unsupported container version {manifest.get('version')!r}"
         )
-    payload = (directory / "matrices.f64le").read_bytes()
+    missing = [k for k in _MANIFEST_KEYS if k not in manifest]
+    if missing:
+        raise CorruptData(f"manifest is missing {', '.join(missing)}")
+    dim, count = manifest["dim"], manifest["count"]
+    if not all(type(v) is int and v >= 0 for v in (dim, count)):
+        raise CorruptData(f"bad dim {dim!r} or count {count!r} in manifest")
+    labels = manifest["labels"]
+    metas = manifest.get("item_meta") or [{} for _ in range(count)]
+    for key, value in (("labels", labels), ("item_meta", metas)):
+        if not isinstance(value, list) or len(value) != count:
+            raise CorruptData(f"manifest {key} does not list {count} items")
+    try:
+        labels = [RegimeLabel(lab) for lab in labels]
+        source = CorpusSource(manifest["source"])
+    except ValueError as exc:
+        raise CorruptData(f"manifest: {exc}")
+    try:
+        payload = (directory / "matrices.f64le").read_bytes()
+    except FileNotFoundError:
+        raise CorruptData(f"no matrices.f64le in {directory}")
     if hashlib.sha256(payload).hexdigest() != manifest["payload_sha256"]:
         raise CorruptData("payload checksum mismatch")
-    dim = manifest["dim"]
-    count = manifest["count"]
     expected = count * dim * dim * 8
     if len(payload) != expected:
         raise CorruptData(
             f"payload size {len(payload)} != expected {expected}"
         )
     arr = np.frombuffer(payload, dtype="<f8").reshape(count, dim, dim)
-    metas = manifest.get("item_meta") or [{} for _ in range(count)]
     items = [
-        CorpusItem(arr[i].copy(), RegimeLabel(manifest["labels"][i]), metas[i])
-        for i in range(count)
+        CorpusItem(arr[i].copy(), labels[i], metas[i]) for i in range(count)
     ]
     return LabeledCorpus(
         dim=dim,
         items=items,
-        source=CorpusSource(manifest["source"]),
+        source=source,
         meta=manifest.get("meta", {}),
     )

@@ -11,7 +11,6 @@ outperformance or performance decay to correlation-structure features.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -107,13 +106,17 @@ def run(
     threads: int = 1,
     on_error="skip",
 ) -> list[McRecord]:
-    """Run the full grid of simulations; deterministic and independent of
-    the thread count (records are merged by stream index).
+    """Run the full grid of simulations in the calling thread.
 
     ``generator_fn(regime, stream) -> matrix`` defaults to the surrogate
     regime sampler.  A draw that fails with a ``CorrlabError`` is skipped
     with a logged reason, never retried with a different seed; any other
     exception propagates.
+
+    ``threads`` is accepted and ignored.  A simulation is Python-bound and
+    holds the GIL, so a thread pool only added contention: 90 simulations
+    at dim 24 took 0.66 s on one thread and 1.18 s on two (2 vCPUs, BLAS
+    pinned to one thread).
     """
     if config.count_per_regime < 1:
         raise InvalidInput("count_per_regime must be >= 1")
@@ -123,29 +126,19 @@ def run(
                 regime, config.dim, seed=config.seed, stream=stream
             )
 
-    tasks = []
+    records, skipped = [], []
     for r, regime in enumerate(config.regimes):
         for i in range(config.count_per_regime):
-            tasks.append((regime, r * config.count_per_regime + i))
-
-    def work(task):
-        regime, stream = task
-        try:
-            return _simulate_one(generator_fn, regime, stream, config)
-        except CorrlabError as exc:
-            if on_error == "raise":
-                raise
-            return ("skipped", stream, repr(exc))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(t) for t in tasks]
-
-    records = [r for r in results if isinstance(r, McRecord)]
-    skipped = [r for r in results if not isinstance(r, McRecord)]
-    for _, stream, reason in skipped:
+            stream = r * config.count_per_regime + i
+            try:
+                records.append(
+                    _simulate_one(generator_fn, regime, stream, config)
+                )
+            except CorrlabError as exc:
+                if on_error == "raise":
+                    raise
+                skipped.append((stream, repr(exc)))
+    for stream, reason in skipped:
         print(f"warning: simulation stream {stream} skipped: {reason}")
     return records
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from corrlab import cli, corpus
+from corrlab import cli, corpus, evaluation, gan
 
 
 def run_cli(*args):
@@ -39,6 +39,22 @@ class TestExitCodes:
         r = run_cli("corpus", "inspect", str(tmp_path / "missing"))
         assert r.returncode == 3
         assert r.stderr.strip().startswith("error: data:")
+        assert r.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.update(labels=m["labels"][:-1]),
+        lambda m: m.pop("payload_sha256"),
+        lambda m: m["labels"].__setitem__(0, "bogus"),
+    ], ids=["short-labels", "no-payload-sha256", "bad-label"])
+    def test_malformed_manifest(self, tmp_path, edit):
+        corpus.write_corpus(corpus.build_surrogate(2, 4, seed=0), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        r = run_cli("corpus", "inspect", str(tmp_path))
+        assert r.returncode == 3
+        assert r.stderr.startswith("error: data:")
         assert r.stderr.count("\n") == 1
 
     def test_parse_error(self, tmp_path):
@@ -143,3 +159,135 @@ class TestMcCli:
         assert r.returncode == 0
         data = json.loads(rep.read_text())
         assert set(data["findings"]) == {"stressed", "normal", "rally"}
+
+    def test_checkpoint_generator_uses_master_seed(self, tmp_path):
+        ckpt = gan.build(gan.GanConfig(dim=16, seed=1))
+        # shrink the output layer so every sample lies inside the elliptope
+        # and no simulation is skipped
+        ckpt.generator.layers[-2].w *= 0.05
+        gan.save_checkpoint(ckpt, tmp_path / "ckpt")
+
+        def features(seed):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "count_per_regime": 2, "dim": 16, "t_in": 40, "t_out": 40,
+                "seed": seed, "generator": "checkpoint",
+                "checkpoint": str(tmp_path / "ckpt"),
+            }))
+            rec = tmp_path / f"r{seed}.ndjson"
+            assert cli.main(["mc", "run", "--config", str(cfg),
+                             "--out", str(rec)]) == 0
+            return [json.loads(line)["features"]
+                    for line in rec.read_text().splitlines()]
+
+        first = features(5)
+        assert len(first) == 6
+        assert features(5) == first
+        assert features(6) != first
+
+
+REPRO_CONFIG = {
+    "seed": 7,
+    "corpus": {"count_per_regime": 12, "dim": 16, "seed": 7},
+    "gan": {"dim": 16, "epochs": 3, "seed": 7, "batch_size": 8},
+    "generate": {"count_per_regime": 4, "seed": 13},
+    "eval": {"seed": 3},
+    "mc": {"count_per_regime": 30, "dim": 24, "t_in": 120, "t_out": 120,
+           "seed": 11},
+}
+
+
+def with_changes(section, **changes):
+    cfg = json.loads(json.dumps(REPRO_CONFIG))
+    cfg[section].update(changes)
+    return cfg
+
+
+def repro(tmp_path, cfg, out, *flags):
+    path = tmp_path / "repro.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["repro", "--config", str(path), "--out", str(out),
+                     *flags]) == 0
+
+
+def tree(out):
+    return {p.relative_to(out): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def refuse(*_args, **_kwargs):
+    raise AssertionError("a cached stage was rebuilt or read back")
+
+
+def count_calls(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestReproCache:
+    def test_mc_seed_rerun_equals_forced_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        repro(tmp_path, REPRO_CONFIG, out)
+        b = with_changes("mc", seed=12)
+        for module, name in ((gan, "train"), (gan, "load_checkpoint"),
+                             (gan, "sample"), (corpus, "build_surrogate"),
+                             (corpus, "read_corpus"),
+                             (evaluation, "classifier_fidelity")):
+            monkeypatch.setattr(module, name, refuse)
+        repro(tmp_path, b, out)
+        monkeypatch.undo()
+        repro(tmp_path, b, tmp_path / "forced", "--force")
+        cached, forced = tree(out), tree(tmp_path / "forced")
+        assert len(forced) == 16
+        assert cached == forced
+
+    def test_gan_change_keeps_corpus(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        repro(tmp_path, REPRO_CONFIG, out)
+        monkeypatch.setattr(corpus, "build_surrogate", refuse)
+        monkeypatch.setattr(cli.mc, "run", refuse)
+        calls = {}
+        for module, name in ((gan, "train"), (gan, "sample"),
+                             (evaluation, "classifier_fidelity")):
+            count_calls(monkeypatch, module, name, calls)
+        repro(tmp_path, with_changes("gan", epochs=4), out)
+        assert calls == {"train": 1, "sample": 3, "classifier_fidelity": 1}
+
+    def test_interrupted_rebuild_is_redone(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        repro(tmp_path, REPRO_CONFIG, out)
+
+        def interrupt(*_args, **_kwargs):
+            raise RuntimeError("interrupted")
+
+        # the study's records are rewritten, its shap.json marker is not
+        monkeypatch.setattr(cli.mc, "regime_findings", interrupt)
+        with pytest.raises(RuntimeError):
+            repro(tmp_path, with_changes("mc", seed=12), out)
+        monkeypatch.undo()
+        repro(tmp_path, REPRO_CONFIG, out)
+        repro(tmp_path, REPRO_CONFIG, tmp_path / "forced", "--force")
+        assert tree(out) == tree(tmp_path / "forced")
+
+    @pytest.mark.parametrize("damage", ["deleted", "garbled"])
+    def test_bad_checkpoint_marker_retrains(self, tmp_path, monkeypatch,
+                                            damage):
+        out = tmp_path / "out"
+        repro(tmp_path, REPRO_CONFIG, out)
+        before = tree(out)
+        marker = out / "ckpt" / "provenance.json"
+        if damage == "deleted":
+            marker.unlink()
+        else:
+            marker.write_text('{"config_sha256": ')
+        monkeypatch.setattr(corpus, "build_surrogate", refuse)
+        calls = {}
+        count_calls(monkeypatch, gan, "train", calls)
+        repro(tmp_path, REPRO_CONFIG, out)
+        assert calls == {"train": 1}
+        assert tree(out) == before
