@@ -18,9 +18,11 @@ keys of the stages it reads:
 A stage's key is the ``config_sha256`` of its provenance block, stored in
 ``provenance.json`` for the corpus, ckpt and synth directories and inside
 ``evaluation.json`` and ``shap.json``.  A rerun rebuilds a stage only under
-``--force`` or when that block is missing, unreadable or different, and a
-stage it skips reads nothing back; so changing ``mc.seed`` reruns only the
-study, and the reused files are byte-identical to rebuilt ones.
+``--force``, when that block is missing, unreadable or different, or when
+one of the stage's payload files is missing; a stage it skips reads nothing
+back.  So changing ``mc.seed`` reruns only the study, and the reused files
+are byte-identical to rebuilt ones.  The config is checked for every
+section and key the stages read before anything is written.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 from . import __version__, core, evaluation, gan, geometry, mc, portfolio, rng
 from . import corpus as corpus_mod
 from .exceptions import (
+    ConfigError,
     CorrlabError,
     CorruptData,
     DegenerateColumn,
@@ -210,7 +213,6 @@ def cmd_geometry(args):
             "converged": res.converged,
             "grad_norm": res.grad_norm,
             "jitter_applied": res.jitter_applied,
-            "best_effort": res.best_effort,
         })
     return 0
 
@@ -378,8 +380,36 @@ def cmd_mc(args):
     return 0
 
 
+# keys each ``repro`` section must hold; ``eval`` is optional
+_REPRO_KEYS = {
+    "corpus": ("count_per_regime", "dim", "seed"),
+    "gan": (),
+    "generate": ("count_per_regime", "seed"),
+    "mc": ("count_per_regime", "dim", "seed"),
+}
+
+
+def _check_repro_config(cfg):
+    """Raise ``ConfigError`` unless ``cfg`` holds what every stage reads."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("repro config must be a JSON object")
+    for section, keys in _REPRO_KEYS.items():
+        if not isinstance(cfg.get(section), dict):
+            raise ConfigError(f"repro config lacks a {section!r} object")
+        missing = [k for k in keys if k not in cfg[section]]
+        if missing:
+            raise ConfigError(f"repro config {section!r} lacks {missing}")
+    if not isinstance(cfg.get("eval", {}), dict):
+        raise ConfigError("repro config 'eval' must be an object")
+    try:
+        gan.GanConfig.from_dict(cfg["gan"])
+    except TypeError as exc:
+        raise ConfigError(f"repro config 'gan': {exc}") from None
+
+
 def cmd_repro(args):
     cfg = json.loads(Path(args.config).read_bytes())
+    _check_repro_config(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     corpus_dir, ckpt_dir = out / "corpus", out / "ckpt"
@@ -391,24 +421,27 @@ def cmd_repro(args):
         key_bytes = json.dumps(inputs, sort_keys=True).encode()
         return _provenance(key_bytes, cfg.get("seed", 0))
 
-    def fresh(marker, prov):
-        """True when a stage must be (re)built: ``--force``, or ``marker``
-        (bare provenance, or JSON with a ``provenance`` block) does not hold
-        ``prov``.  A stale marker is deleted before the rebuild, so an
-        interrupted rebuild never passes for a finished one."""
+    def fresh(marker, prov, *outputs):
+        """True when a stage must be (re)built: ``--force``, one of its
+        ``outputs`` is missing, or ``marker`` (bare provenance, or JSON with
+        a ``provenance`` block) does not hold ``prov``.  A stale marker is
+        deleted before the rebuild, so an interrupted rebuild never passes
+        for a finished one."""
         try:
             old = json.loads(marker.read_text())
         except (OSError, ValueError):
             old = None
         if (not args.force and isinstance(old, dict)
-                and prov in (old, old.get("provenance"))):
+                and prov in (old, old.get("provenance"))
+                and all(p.is_file() for p in outputs)):
             return False
         marker.unlink(missing_ok=True)
         return True
 
     # 1. surrogate corpus
     corpus_prov = stage(cfg["corpus"])
-    if fresh(corpus_dir / "provenance.json", corpus_prov):
+    if fresh(corpus_dir / "provenance.json", corpus_prov,
+             corpus_dir / "manifest.json", corpus_dir / "matrices.f64le"):
         corp = corpus_mod.build_surrogate(
             cfg["corpus"]["count_per_regime"], cfg["corpus"]["dim"],
             seed=cfg["corpus"]["seed"],
@@ -427,7 +460,8 @@ def cmd_repro(args):
     # 3. generate
     gen_cfg = cfg["generate"]
     gen_prov = stage(gen_cfg, train_prov["config_sha256"])
-    if fresh(synth_dir / "provenance.json", gen_prov):
+    if fresh(synth_dir / "provenance.json", gen_prov,
+             synth_dir / "manifest.json", synth_dir / "matrices.f64le"):
         ckpt = gan.load_checkpoint(ckpt_dir)
         items = []
         for regime in gan.REGIMES:
@@ -458,7 +492,8 @@ def cmd_repro(args):
     # 5. monte carlo + findings + attribution (regime sampler, not the GAN)
     mc_cfg = cfg["mc"]
     mc_prov = stage(mc_cfg)
-    if fresh(out / "shap.json", mc_prov):
+    if fresh(out / "shap.json", mc_prov,
+             out / "records.ndjson", out / "findings.json"):
         config = mc.McConfig(
             count_per_regime=mc_cfg["count_per_regime"], dim=mc_cfg["dim"],
             t_in=mc_cfg.get("t_in", 252), t_out=mc_cfg.get("t_out", 252),

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .core import nearest_correlation, symmetrize
+from .core import symmetrize
 from .exceptions import ConvergenceFailure, InvalidInput, NotPositiveDefinite
 
 _JITTER_EIG = 1e-10
@@ -46,7 +45,6 @@ class MeanResult:
     converged: bool
     grad_norm: float
     jitter_applied: bool
-    best_effort: bool = False
 
 
 def _eig_fun(a: np.ndarray, fun) -> np.ndarray:
@@ -68,14 +66,6 @@ def spd_sqrt(a):
 
 def spd_inv_sqrt(a):
     return _eig_fun(a, lambda w: 1.0 / np.sqrt(w))
-
-
-def spd_log(a):
-    return _eig_fun(a, np.log)
-
-
-def spd_exp(a):
-    return _eig_fun(a, np.exp)
 
 
 def spd_power(a, t: float):
@@ -118,29 +108,17 @@ def _jitter(mats):
 
 
 def karcher_mean(mats, tol: float = 1e-10, max_iter: int = 1000):
-    """Riemannian barycenter by fixed-point iteration with step halving."""
-    x = symmetrize(sum(mats) / len(mats))
-    obj = _frechet_objective(x, mats)
-    step = 1.0
-    for it in range(max_iter):
-        xs = spd_sqrt(x)
-        xis = spd_inv_sqrt(x)
-        tang = sum(spd_log(symmetrize(xis @ m @ xis)) for m in mats) / len(mats)
-        grad_norm = float(np.linalg.norm(tang, ord="fro"))
-        if grad_norm <= tol:
-            return x, it, grad_norm
-        cand = symmetrize(xs @ spd_exp(step * tang) @ xs)
-        cand_obj = _frechet_objective(cand, mats)
-        if cand_obj > obj + 1e-14:
-            step /= 2.0
-            continue
-        x, obj = cand, cand_obj
-        step = min(1.0, step * 1.5)
-    raise ConvergenceFailure(
-        f"Karcher mean did not converge in {max_iter} iterations",
-        last_iterate=x,
-        residual=grad_norm,
-    )
+    """Riemannian barycenter (Pennec 2006; Bhatia 2007) by :func:`_descend`
+    from the arithmetic mean; returns ``(x, iterations, grad_norm)``."""
+    x0 = symmetrize(sum(mats) / len(mats))
+    x, it, grad_norm = _descend(mats, x0, False, tol, max_iter)
+    if grad_norm > tol:
+        raise ConvergenceFailure(
+            f"Karcher mean did not converge in {max_iter} iterations",
+            last_iterate=x,
+            residual=grad_norm,
+        )
+    return x, it, grad_norm
 
 
 def _frechet_objective(c, mats) -> float:
@@ -151,52 +129,75 @@ def _corr_2x2(rho: float) -> np.ndarray:
     return np.array([[1.0, rho], [rho, 1.0]])
 
 
-def _minimize_over_elliptope(targets, start, tol=1e-10, max_iter=200):
-    """Heuristic constrained minimizer of the Frechet objective.
+def _whiten(c, targets, unit_diag):
+    """``(C^{1/2}, f(C), rounding of f, X)`` from one eigh of C and one
+    stacked eigh of the whitened targets C^{-1/2} M_i C^{-1/2} (see
+    :func:`_descend`); None if C or a target is not numerically SPD."""
+    if not np.all(np.isfinite(c)):
+        return None
+    w, v = np.linalg.eigh(c)
+    if w[0] <= 0:
+        return None
+    root = (v * np.sqrt(w)) @ v.T
+    inv_root = (v / np.sqrt(w)) @ v.T
+    lam, u = np.linalg.eigh(inv_root @ targets @ inv_root)
+    if lam[:, 0].min() <= 0:
+        return None
+    logs = np.log(lam)
+    f = float(np.sum(logs ** 2))
+    # relative 1e-12, unless whitening (error ~ eps cond(C)) and eigh leave
+    # the logs of an ill-conditioned target rougher than that
+    rounding = max(1e-12 * f, 4 * np.finfo(float).eps * w[-1] / w[0]
+                   * float(np.sum(np.abs(logs) * lam[:, -1:] / lam)))
+    x = symmetrize(((u * logs[:, None, :]) @ u.transpose(0, 2, 1)).mean(0))
+    if unit_diag:
+        try:  # C o C is PD when C is (Schur), unless rounding says otherwise
+            normal = np.linalg.solve(c * c, np.diag(root @ x @ root))
+        except np.linalg.LinAlgError:
+            return None
+        x = x - (root * normal) @ root
+    return root, f, rounding, x
 
-    dim 2: exact 1-D search over the off-diagonal.  dim > 2: geodesic
-    steps toward the unconstrained barycenter direction with a
-    nearest-correlation repair after each step; monotone in the objective.
+
+def _descend(targets, start, unit_diag, tol, max_iter):
+    """Minimize f(C) = sum_i d^2(C, M_i) by Riemannian gradient descent.
+
+    At C the descent direction is C^{1/2} X C^{1/2}, where X is the mean
+    log of the whitened targets, and a step of length t retracts it as
+    C^{1/2} exp(t X) C^{1/2}.  With ``unit_diag`` the search stays on the
+    elliptope: X loses its component along C^{1/2} Diag(lam) C^{1/2}
+    (the normals of diag(C) = 1), lam solving (C o C) lam =
+    diag(C^{1/2} X C^{1/2}), and each candidate is rescaled to unit
+    diagonal.  t is the Barzilai-Borwein secant step, halved while f
+    rises by more than its rounding.  Returns ``(C, iterations, ||X||)``;
+    ||X|| <= tol certifies a stationary point.
     """
-    dim = start.shape[0]
-    if dim == 2:
-        def f(rho):
-            return _frechet_objective(_corr_2x2(rho), targets)
-
-        res = minimize_scalar(
-            f, bounds=(-1 + 1e-9, 1 - 1e-9), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        return _corr_2x2(float(res.x)), int(res.nfev), 0.0, True, False
-
-    c = start.copy()
-    obj = _frechet_objective(c, targets)
+    targets = np.asarray(targets)
+    c, state = start, _whiten(start, targets, unit_diag)
+    if state is None:
+        raise NotPositiveDefinite("descent start is not positive definite")
+    root, obj, rounding, x = state
     step = 1.0
-    grad_norm = np.inf
     for it in range(max_iter):
-        cs = spd_sqrt(c)
-        cis = spd_inv_sqrt(c)
-        tang = sum(
-            spd_log(symmetrize(cis @ m @ cis)) for m in targets
-        ) / len(targets)
-        grad_norm = float(np.linalg.norm(tang, ord="fro"))
+        grad_norm = float(np.linalg.norm(x))
         if grad_norm <= tol:
-            return c, it, grad_norm, True, False
-        improved = False
-        while step > 1e-10:
-            raw = symmetrize(cs @ spd_exp(step * tang) @ cs)
-            cand = nearest_correlation(raw + _JITTER_EIG * np.eye(dim))
-            cand = cand + _JITTER_EIG * np.eye(dim)
-            cand_obj = _frechet_objective(cand, targets)
-            if cand_obj < obj - 1e-14:
-                c, obj = cand, cand_obj
-                improved = True
-                break
+            return c, it, grad_norm
+        w, v = np.linalg.eigh(step * x)
+        with np.errstate(over="ignore", invalid="ignore"):  # overlong step
+            cand = root @ (v * np.exp(w)) @ v.T @ root
+            if unit_diag:
+                d = 1.0 / np.sqrt(np.diag(cand))
+                cand = cand * np.outer(d, d)
+            cand = symmetrize(cand)
+        state = _whiten(cand, targets, unit_diag)
+        if state is None or not state[1] <= obj + rounding:
             step /= 2.0
-        if not improved:
-            # stalled: constrained stationary point not certified
-            return c, it, grad_norm, False, True
-    return c, max_iter, grad_norm, False, True
+            continue
+        curvature = float(np.sum(x * (x - state[3])))
+        step = step * grad_norm**2 / curvature if curvature > 0 else 1.0
+        step = min(step, 1e3)
+        c, (root, obj, rounding, x) = cand, state
+    return c, max_iter, grad_norm
 
 
 def mean(method: MeanMethod, mats) -> MeanResult:
@@ -207,7 +208,6 @@ def mean(method: MeanMethod, mats) -> MeanResult:
     dims = {m.shape[0] for m in mats}
     if len(dims) != 1:
         raise InvalidInput("matrices must share a common dimension")
-    dim = dims.pop()
 
     if method is MeanMethod.M1_EUCLIDEAN:
         m1 = sum(mats) / len(mats)
@@ -225,7 +225,6 @@ def mean(method: MeanMethod, mats) -> MeanResult:
     if method is MeanMethod.M3_NORMALIZED_BARYCENTER:
         return MeanResult(m3, method, iters, True, grad, jittered)
 
-    start = symmetrize(m3) + (_JITTER_EIG * np.eye(dim) if dim > 2 else 0.0)
     if method is MeanMethod.M4_CONSTRAINED_FRECHET:
         targets = mats_pd
     elif method is MeanMethod.M5_RIEMANNIAN_PROJECTION:
@@ -233,9 +232,6 @@ def mean(method: MeanMethod, mats) -> MeanResult:
     else:  # pragma: no cover
         raise InvalidInput(f"unknown method {method}")
 
-    c, it2, grad2, converged, best_effort = _minimize_over_elliptope(
-        targets, start
-    )
-    c = symmetrize(c)
+    c, it2, grad2 = _descend(targets, m3, True, 1e-10, 200)
     np.fill_diagonal(c, 1.0)
-    return MeanResult(c, method, it2, converged, grad2, jittered, best_effort)
+    return MeanResult(c, method, it2, grad2 <= 1e-10, grad2, jittered)

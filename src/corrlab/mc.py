@@ -44,8 +44,9 @@ class McRecord:
         return {
             "schema": RECORD_SCHEMA_VERSION,
             "regime": self.regime.value,
-            "features": {
-                k: v for k, v in zip(FEATURE_NAMES, self.features.to_array())
+            "features": {  # an undefined (NaN) feature is written as null
+                k: None if v != v else v
+                for k, v in zip(FEATURE_NAMES, self.features.to_array())
             },
             "reports": {
                 m: {
@@ -66,9 +67,10 @@ class McRecord:
             raise InvalidInput(f"unsupported record schema {d.get('schema')}")
         return cls(
             regime=RegimeLabel(d["regime"]),
-            features=FeatureVector(
-                **{k: d["features"][k] for k in FEATURE_NAMES}
-            ),
+            features=FeatureVector(**{
+                k: np.nan if d["features"][k] is None else d["features"][k]
+                for k in FEATURE_NAMES
+            }),
             reports={
                 m: RiskReport(**d["reports"][m]) for m in d["reports"]
             },

@@ -64,6 +64,22 @@ class TestExitCodes:
         assert r.returncode == 3
         assert r.stderr.startswith("error: data:")
 
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.pop("mc"),
+        lambda c: c["corpus"].pop("dim"),
+    ], ids=["no-mc-section", "no-corpus-dim"])
+    def test_incomplete_repro_config(self, tmp_path, edit):
+        cfg = json.loads(json.dumps(REPRO_CONFIG))
+        edit(cfg)
+        path = tmp_path / "repro.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        r = run_cli("repro", "--config", str(path), "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: invalid: repro config")
+        assert r.stderr.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSampleAndInspect:
     def test_sample_writes_container(self, tmp_path):
@@ -273,6 +289,17 @@ class TestReproCache:
         repro(tmp_path, REPRO_CONFIG, out)
         repro(tmp_path, REPRO_CONFIG, tmp_path / "forced", "--force")
         assert tree(out) == tree(tmp_path / "forced")
+
+    @pytest.mark.parametrize("name", [
+        "records.ndjson", "findings.json", "corpus/matrices.f64le",
+    ])
+    def test_missing_output_is_rebuilt(self, tmp_path, name):
+        out = tmp_path / "out"
+        repro(tmp_path, REPRO_CONFIG, out)
+        before = tree(out)
+        (out / name).unlink()
+        repro(tmp_path, REPRO_CONFIG, out)
+        assert tree(out) == before
 
     @pytest.mark.parametrize("damage", ["deleted", "garbled"])
     def test_bad_checkpoint_marker_retrains(self, tmp_path, monkeypatch,

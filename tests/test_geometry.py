@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from corrlab import geometry
+from corrlab import geometry, samplers
+from corrlab.core import validate
 from corrlab.exceptions import NotPositiveDefinite
 from corrlab.geometry import MeanMethod
+from corrlab.samplers import RegimeLabel
 
 
 def corr2(rho):
@@ -114,3 +116,92 @@ class TestMeans:
         res = geometry.mean(MeanMethod.M2_RIEMANNIAN_BARYCENTER, mats)
         res_p = geometry.mean(MeanMethod.M2_RIEMANNIAN_BARYCENTER, permuted)
         assert np.allclose(p @ res.matrix @ p.T, res_p.matrix, atol=1e-7)
+
+
+def regime_set(regime, dim, count, seed, first_stream):
+    return [
+        samplers.sample_regime(regime, dim, seed=seed, stream=first_stream + i)
+        for i in range(count)
+    ]
+
+
+def directional_derivative(c, e, mats, h):
+    return (geometry._frechet_objective(c + h * e, mats)
+            - geometry._frechet_objective(c - h * e, mats)) / (2 * h)
+
+
+def zero_diag_direction(dim, seed):
+    g = np.random.Generator(np.random.PCG64(seed))
+    e = g.standard_normal((dim, dim))
+    e = e + e.T
+    np.fill_diagonal(e, 0.0)
+    return e / np.linalg.norm(e)
+
+
+class TestCertifiedDescent:
+    # a dim-16 NORMAL set of 15 draws; Frechet objective ~43 at M3
+    NORMAL16 = dict(regime=RegimeLabel.NORMAL, dim=16, count=15, seed=101,
+                    first_stream=15)
+
+    @pytest.mark.parametrize("unit_diag", [False, True])
+    def test_certificate_matches_finite_differences(self, unit_diag):
+        # away from the optimum, the direction X predicts the derivative of
+        # f along every E (zero-diagonal E on the elliptope):
+        # df = -2 n tr(C^{-1/2} X C^{-1/2} E)
+        mats = regime_set(RegimeLabel.STRESSED, 6, 5, 7, 0)
+        c = geometry.mean(MeanMethod.M1_EUCLIDEAN, mats).matrix
+        root, obj, _, x = geometry._whiten(c, np.asarray(mats), unit_diag)
+        assert obj == pytest.approx(
+            geometry._frechet_objective(c, mats), rel=1e-12
+        )
+        if unit_diag:  # a step along X keeps diag(C) = 1 to first order
+            assert np.max(np.abs(np.diag(root @ x @ root))) < 1e-12
+        inv_root = np.linalg.inv(root)
+        grad = -2 * len(mats) * inv_root @ x @ inv_root
+        for seed in range(5):
+            e = zero_diag_direction(6, seed)
+            if not unit_diag:
+                e = e + np.diag(np.linspace(-0.5, 0.5, 6))
+            fd = directional_derivative(c, e, mats, 1e-6)
+            assert fd == pytest.approx(np.sum(grad * e), rel=1e-6, abs=1e-8)
+
+    def test_m4_is_stationary_on_the_elliptope(self):
+        mats = regime_set(**self.NORMAL16)
+        m4 = geometry.mean(MeanMethod.M4_CONSTRAINED_FRECHET, mats)
+        for seed in range(5):
+            e = zero_diag_direction(16, seed)
+            assert abs(directional_derivative(m4.matrix, e, mats, 1e-5)) < 1e-7
+
+    def test_m4_strictly_below_m3_at_dim_16(self):
+        mats = regime_set(**self.NORMAL16)
+        m3 = geometry.mean(MeanMethod.M3_NORMALIZED_BARYCENTER, mats)
+        m4 = geometry.mean(MeanMethod.M4_CONSTRAINED_FRECHET, mats)
+        assert m4.converged
+        assert m4.grad_norm <= 1e-10
+        assert m4.iterations > 0
+        assert validate(m4.matrix).is_valid
+        o3 = geometry._frechet_objective(m3.matrix, mats)
+        o4 = geometry._frechet_objective(m4.matrix, mats)
+        assert o4 < o3 - 0.1
+
+    def test_m5_valid_and_no_farther_from_m2_than_m3(self):
+        mats = regime_set(**self.NORMAL16)
+        m2 = geometry.mean(MeanMethod.M2_RIEMANNIAN_BARYCENTER, mats).matrix
+        m3 = geometry.mean(MeanMethod.M3_NORMALIZED_BARYCENTER, mats).matrix
+        m5 = geometry.mean(MeanMethod.M5_RIEMANNIAN_PROJECTION, mats)
+        assert m5.converged
+        assert m5.grad_norm <= 1e-10
+        assert validate(m5.matrix).is_valid
+        assert (geometry.airm_distance(m5.matrix, m2)
+                <= geometry.airm_distance(m3, m2))
+
+    def test_karcher_certifies_a_set_that_used_to_stall(self):
+        # a line search with an absolute slack of 1e-14, below the
+        # rounding of f ~ 48, rejected every step from ||X|| ~ 7e-10 on and
+        # ran out its 1000 iterations on this set
+        mats = regime_set(RegimeLabel.RALLY, 16, 15, 101, 30)
+        x, iterations, grad_norm = geometry.karcher_mean(mats)
+        assert grad_norm <= 1e-10
+        assert iterations < 100
+        assert np.array_equal(x, x.T)
+        assert np.linalg.eigvalsh(x)[0] > 0

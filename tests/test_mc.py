@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,22 @@ class TestRecords:
         mc.write_records(records, p)
         back = mc.read_records(p)
         assert [r.to_json() for r in back] == [r.to_json() for r in records]
+
+    def test_nan_feature_is_written_as_null(self, tmp_path):
+        features = np.arange(8, dtype=float)
+        features[3] = np.nan
+        p = tmp_path / "r.ndjson"
+        mc.write_records([make_record(features, gap=0.0)], p)
+
+        def refuse(token):
+            raise AssertionError(f"bare {token} in the records file")
+
+        line = json.loads(p.read_text(), parse_constant=refuse)
+        assert line["features"][FEATURE_NAMES[3]] is None
+        back = mc.read_records(p)[0].features.to_array()
+        assert np.isnan(back[3])
+        np.testing.assert_array_equal(np.delete(back, 3),
+                                      np.delete(features, 3))
 
     def test_schema_check(self):
         with pytest.raises(InvalidInput):
