@@ -1,8 +1,14 @@
 """Command-line entry point wiring all modules into reproducible pipelines.
 
-Exit codes: 0 success, 2 invalid arguments, 3 data errors, 4 numerical
-failures.  Every JSON artifact embeds a provenance block (tool version,
-SHA-256 of the governing config, master seed).
+Exit codes: 0 success, 2 invalid arguments or config, 3 data errors, 4
+numerical failures.  Every JSON artifact embeds a provenance block (tool
+version, SHA-256 of the governing config, master seed).
+
+Each pipeline stage is one function that its subcommand and ``repro`` both
+call: ``corpus synth``, ``train``, ``generate``, ``evaluate``, ``mc run``,
+``mc findings`` and ``mc explain`` run the code of ``repro``'s stages.  The
+``gan`` and ``mc`` configs have one parser each, shared by ``train``, ``mc
+run`` and ``repro``, so a bad config exits 2 from any of them.
 
 ``repro`` runs the whole surrogate pipeline from one config file as five
 stages, each keyed on the canonical JSON of its own sub-config plus the
@@ -31,7 +37,9 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -42,11 +50,12 @@ from .exceptions import (
     CorrlabError,
     CorruptData,
     DegenerateColumn,
+    InvalidInput,
     NumericalFailure,
     ParseError,
     UnsupportedVersion,
 )
-from .facts import FEATURE_NAMES, feature_vector, stylized_report
+from .facts import FEATURE_NAMES, stylized_report
 from .samplers import (
     RegimeLabel,
     sample_cvine,
@@ -111,28 +120,23 @@ def _load_matrices(path):
 
 
 def cmd_sample(args):
-    items = []
-    for i in range(args.count):
-        if args.method == "onion":
-            m = sample_onion(args.dim, args.eta, args.seed, stream=i)
-            label = RegimeLabel.NORMAL
-        elif args.method == "cvine":
-            m = sample_cvine(args.dim, args.beta_a, args.beta_b, args.seed, stream=i)
-            label = RegimeLabel.NORMAL
-        elif args.method == "spectrum":
-            lam = [float(x) for x in args.eigenvalues.split(",")]
-            m = sample_with_spectrum(lam, args.seed, stream=i)
-            label = RegimeLabel.NORMAL
-        elif args.method == "factor":
-            m = sample_one_factor(
-                args.dim, (args.beta_lo, args.beta_hi), args.seed, stream=i
-            )
-            label = RegimeLabel.NORMAL
-        else:
-            label = RegimeLabel(args.regime)
-            m = sample_regime(label, args.dim, seed=args.seed, stream=i)
-        items.append(corpus_mod.CorpusItem(m, label, {"method": args.method,
-                                                      "stream": i}))
+    if args.count < 1:
+        raise InvalidInput("count must be >= 1")
+    label = RegimeLabel(args.regime if args.method == "regime" else "normal")
+    draw = {
+        "onion": lambda i: sample_onion(args.dim, args.eta, args.seed, stream=i),
+        "cvine": lambda i: sample_cvine(args.dim, args.beta_a, args.beta_b,
+                                        args.seed, stream=i),
+        "spectrum": lambda i: sample_with_spectrum(
+            [float(x) for x in args.eigenvalues.split(",")], args.seed, stream=i),
+        "factor": lambda i: sample_one_factor(
+            args.dim, (args.beta_lo, args.beta_hi), args.seed, stream=i),
+        "regime": lambda i: sample_regime(label, args.dim, seed=args.seed,
+                                          stream=i),
+    }[args.method]
+    items = [corpus_mod.CorpusItem(draw(i), label, {"method": args.method,
+                                                    "stream": i})
+             for i in range(args.count)]
     corp = corpus_mod.LabeledCorpus(
         dim=items[0].matrix.shape[0],
         items=items,
@@ -141,14 +145,12 @@ def cmd_sample(args):
               "provenance": _provenance(_args_bytes(args), args.seed)},
     )
     corpus_mod.write_corpus(corp, args.out)
-    return 0
 
 
 def cmd_project(args):
     m = _read_matrix_csv(getattr(args, "in"))
     out = core.nearest_correlation(m, tol=args.tol)
     _write_matrix_csv(args.out, out)
-    return 0
 
 
 def cmd_metrics(args):
@@ -177,134 +179,156 @@ def cmd_metrics(args):
         "records": records,
         "aggregate": agg,
     })
-    return 0
 
 
 def _jsonf(x):
     return None if x != x else x  # NaN -> null
 
 
-def cmd_geometry(args):
-    if args.geom_cmd == "geodesic":
-        a = _read_matrix_csv(args.a)
-        b = _read_matrix_csv(args.b)
-        g = geometry.geodesic(a, b, args.t)
-        _write_matrix_csv(args.out, g)
-        _write_json(args.meta, {
-            "provenance": _provenance(_args_bytes(args), None),
-            "t": args.t,
-            "max_diag_dev": float(np.max(np.abs(np.diag(g) - 1.0))),
-        })
-    else:
-        mats, _ = _load_matrices(getattr(args, "in"))
-        method = {
-            "m1": geometry.MeanMethod.M1_EUCLIDEAN,
-            "m2": geometry.MeanMethod.M2_RIEMANNIAN_BARYCENTER,
-            "m3": geometry.MeanMethod.M3_NORMALIZED_BARYCENTER,
-            "m4": geometry.MeanMethod.M4_CONSTRAINED_FRECHET,
-            "m5": geometry.MeanMethod.M5_RIEMANNIAN_PROJECTION,
-        }[args.method]
-        res = geometry.mean(method, mats)
-        _write_matrix_csv(args.out, res.matrix)
-        _write_json(args.meta, {
-            "provenance": _provenance(_args_bytes(args), None),
-            "method": args.method,
-            "iterations": res.iterations,
-            "converged": res.converged,
-            "grad_norm": res.grad_norm,
-            "jitter_applied": res.jitter_applied,
-        })
-    return 0
+def cmd_geodesic(args):
+    a = _read_matrix_csv(args.a)
+    b = _read_matrix_csv(args.b)
+    g = geometry.geodesic(a, b, args.t)
+    _write_matrix_csv(args.out, g)
+    _write_json(args.meta, {
+        "provenance": _provenance(_args_bytes(args), None),
+        "t": args.t,
+        "max_diag_dev": float(np.max(np.abs(np.diag(g) - 1.0))),
+    })
 
 
-def cmd_corpus(args):
-    if args.corpus_cmd == "build":
-        window = corpus_mod.WindowSpec(args.window, args.step)
-        corp = corpus_mod.ingest_returns(args.returns, window)
-        corpus_mod.write_corpus(corp, args.out)
-    elif args.corpus_cmd == "synth":
-        corp = corpus_mod.build_surrogate(args.count, args.dim, seed=args.seed)
-        corp.meta["provenance"] = _provenance(_args_bytes(args), args.seed)
-        corpus_mod.write_corpus(corp, args.out)
-    else:
-        corp = corpus_mod.read_corpus(args.dir)
-        counts = {}
-        for lab in corp.labels():
-            counts[lab.value] = counts.get(lab.value, 0) + 1
-        print(json.dumps({
-            "dim": corp.dim, "count": len(corp),
-            "labels": counts, "source": corp.source.value,
-        }, sort_keys=True))
-    return 0
+def cmd_mean(args):
+    mats, _ = _load_matrices(getattr(args, "in"))
+    res = geometry.mean(geometry.MeanMethod(args.method), mats)
+    _write_matrix_csv(args.out, res.matrix)
+    _write_json(args.meta, {
+        "provenance": _provenance(_args_bytes(args), None),
+        "method": args.method,
+        "iterations": res.iterations,
+        "converged": res.converged,
+        "grad_norm": res.grad_norm,
+        "jitter_applied": res.jitter_applied,
+    })
 
 
-def cmd_train(args):
-    cfg_bytes = Path(args.config).read_bytes()
-    config = gan.GanConfig.from_dict(json.loads(cfg_bytes))
-    corp = corpus_mod.read_corpus(args.corpus)
-    ckpt = gan.train(gan.build(config), corp)
-    gan.save_checkpoint(ckpt, args.out)
-    _write_json(Path(args.out) / "provenance.json",
-                _provenance(cfg_bytes, config.seed))
-    return 0
+def cmd_corpus_build(args):
+    window = corpus_mod.WindowSpec(args.window, args.step)
+    corpus_mod.write_corpus(corpus_mod.ingest_returns(args.returns, window),
+                            args.out)
 
 
-def cmd_generate(args):
-    ckpt = gan.load_checkpoint(args.ckpt)
-    label = RegimeLabel(args.regime)
-    batch = gan.sample(ckpt, label, args.count, seed=args.seed,
-                       project=not args.no_project)
-    items = [
-        corpus_mod.CorpusItem(m, label, {"displacement": d})
-        for m, d in zip(batch.matrices, batch.displacements)
-    ]
-    corp = corpus_mod.LabeledCorpus(
-        dim=ckpt.config.dim, items=items,
-        source=corpus_mod.CorpusSource.SURROGATE,
-        meta={"generated": True, "regime": args.regime, "seed": args.seed,
-              "projected": batch.projected,
-              "untrained_warning": batch.untrained_warning,
-              "provenance": _provenance(_args_bytes(args), args.seed)},
-    )
-    corpus_mod.write_corpus(corp, args.out)
-    return 0
+def cmd_corpus_synth(args):
+    _synth_corpus(args.count, args.dim, args.seed, args.out,
+                  provenance=_provenance(_args_bytes(args), args.seed))
 
 
-def cmd_evaluate(args):
-    real = corpus_mod.read_corpus(args.real)
-    synth = corpus_mod.read_corpus(args.synth)
-    report = _evaluate_corpora(real, synth, seed=args.seed,
-                               clouds_prefix=Path(args.report).with_suffix(""))
-    report["provenance"] = _provenance(_args_bytes(args), args.seed)
-    _write_json(args.report, report)
-    return 0
+def cmd_corpus_inspect(args):
+    corp = corpus_mod.read_corpus(args.dir)
+    print(json.dumps({
+        "dim": corp.dim, "count": len(corp),
+        "labels": Counter(lab.value for lab in corp.labels()),
+        "source": corp.source.value,
+    }, sort_keys=True))
 
 
-def _evaluate_corpora(real, synth, seed=0, clouds_prefix=None):
+def cmd_portfolio(args):
+    cov = _read_matrix_csv(args.cov)
+    w = portfolio.weights_for(args.method, cov)
+    print(",".join(repr(float(x)) for x in w))
+
+
+# ---------------------------------------------------------------------------
+# pipeline stages, each written once and called by its subcommand and repro
+
+
+def _check_section(cfg, ints, what):
+    """Raise ``ConfigError`` unless ``cfg`` is a JSON object in which every
+    key of ``ints`` it holds is an integer."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    bad = [k for k in ints if k in cfg and type(cfg[k]) is not int]
+    if bad:
+        raise ConfigError(f"{what} {bad} must be integers")
+
+
+_GAN_INTS = [k for k, t in get_type_hints(gan.GanConfig).items() if t is int]
+_MC_KEYS = ("count_per_regime", "dim", "t_in", "t_out", "seed")
+
+
+def _gan_config(cfg, what="gan config"):
+    """``GanConfig`` from a JSON object; ``ConfigError`` on bad input."""
+    _check_section(cfg, _GAN_INTS, what)
+    try:
+        return gan.GanConfig.from_dict(cfg)
+    except TypeError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
+def _mc_config(cfg, what="mc config"):
+    """``McConfig`` from the keys of ``_MC_KEYS`` a JSON object holds, with
+    ``McConfig``'s defaults for the rest; ``ConfigError`` on bad input."""
+    _check_section(cfg, _MC_KEYS, what)
+    return mc.McConfig(**{k: cfg[k] for k in _MC_KEYS if k in cfg})
+
+
+def _synth_corpus(count_per_regime, dim, seed, out, **meta):
+    """Write a surrogate corpus to ``out``, adding ``meta`` to its own."""
+    corp = corpus_mod.build_surrogate(count_per_regime, dim, seed=seed)
+    corp.meta.update(meta)
+    corpus_mod.write_corpus(corp, out)
+
+
+def _train(config, corpus_dir, out, prov):
+    """Train the GAN on the corpus at ``corpus_dir``; write the checkpoint
+    and its ``provenance.json`` to ``out``."""
+    ckpt = gan.train(gan.build(config), corpus_mod.read_corpus(corpus_dir))
+    gan.save_checkpoint(ckpt, out)
+    _write_json(Path(out) / "provenance.json", prov)
+
+
+def _generate(ckpt_dir, regimes, count, seed, out, project=True,
+              meta=lambda batch: {}):
+    """Sample ``count`` matrices of each of ``regimes`` from the checkpoint
+    at ``ckpt_dir`` into one corpus at ``out``.  Its meta is ``generated``
+    plus ``meta`` of the last batch drawn."""
+    ckpt = gan.load_checkpoint(ckpt_dir)
+    items = []
+    for regime in regimes:
+        batch = gan.sample(ckpt, regime, count, seed=seed, project=project)
+        items += [corpus_mod.CorpusItem(m, regime, {"displacement": d})
+                  for m, d in zip(batch.matrices, batch.displacements)]
+    corpus_mod.write_corpus(corpus_mod.LabeledCorpus(
+        ckpt.config.dim, items, corpus_mod.CorpusSource.SURROGATE,
+        meta={"generated": True, **meta(batch)},
+    ), out)
+
+
+def _evaluate(real_dir, synth_dir, seed, report, prov, clouds_prefix=None):
+    """Score the corpus at ``synth_dir`` against the one at ``real_dir``
+    and write the report; with ``clouds_prefix``, also the PCA clouds."""
+    real = corpus_mod.read_corpus(real_dir)
+    synth = corpus_mod.read_corpus(synth_dir)
     real_mats = [it.matrix for it in real.items]
     synth_mats = [it.matrix for it in synth.items]
     real_sets = [real_mats[i::3] for i in range(3)]
-    clouds = evaluation.pca_project(real_mats, *real_sets, synth_mats)
-    _, r1, r2, r3, sy = clouds
+    real_cloud, r1, r2, r3, sy = evaluation.pca_project(
+        real_mats, *real_sets, synth_mats)
     ds = evaluation.distance_stats([r1, r2, r3], [sy])
     fid = evaluation.classifier_fidelity(real, synth, seed=seed)
     if clouds_prefix is not None:
-        _write_matrix_csv(str(clouds_prefix) + "_real_cloud.csv",
-                          clouds[0].points)
-        _write_matrix_csv(str(clouds_prefix) + "_synth_cloud.csv", sy.points)
+        _write_matrix_csv(f"{clouds_prefix}_real_cloud.csv", real_cloud.points)
+        _write_matrix_csv(f"{clouds_prefix}_synth_cloud.csv", sy.points)
     per_fact = {}
     for regime in gan.REGIMES:
-        rm = real.matrices(regime)
-        sm = synth.matrices(regime)
-        if not rm or not sm:
+        sides = {"real": real.matrices(regime), "synth": synth.matrices(regime)}
+        if not all(sides.values()):
             continue
-        per_fact[regime.value] = {
-            "sf1_real": float(np.mean([stylized_report(m).sf1_mean_offdiag for m in rm])),
-            "sf1_synth": float(np.mean([stylized_report(m).sf1_mean_offdiag for m in sm])),
-            "sf2_real": float(np.mean([stylized_report(m).sf2_top_eig_share for m in rm])),
-            "sf2_synth": float(np.mean([stylized_report(m).sf2_top_eig_share for m in sm])),
-        }
-    return {
+        means = per_fact[regime.value] = {}
+        for side, mats in sides.items():
+            facts = [stylized_report(m) for m in mats]
+            means["sf1_" + side] = float(np.mean([f.sf1_mean_offdiag for f in facts]))
+            means["sf2_" + side] = float(np.mean([f.sf2_top_eig_share for f in facts]))
+    _write_json(report, {
         "distance_stats": {
             "mu_e": ds.mu_e, "sigma_e": ds.sigma_e,
             "mu_g": ds.mu_g, "sigma_g": ds.sigma_g,
@@ -318,69 +342,92 @@ def _evaluate_corpora(real, synth, seed=0, clouds_prefix=None):
             "confusion": fid.confusion.tolist(),
         },
         "stylized_facts": per_fact,
-    }
+        "provenance": prov,
+    })
 
 
-def cmd_portfolio(args):
-    cov = _read_matrix_csv(args.cov)
-    w = portfolio.weights_for(args.method, cov)
-    print(",".join(repr(float(x)) for x in w))
-    return 0
+def _run_mc(config, out, generator_fn=None):
+    """Run the Monte Carlo study and write its records to ``out``."""
+    records = mc.run(config, generator_fn=generator_fn)
+    mc.write_records(records, out)
+    return records
 
 
-def cmd_mc(args):
-    if args.mc_cmd == "run":
-        cfg_bytes = Path(args.config).read_bytes()
-        cfg = json.loads(cfg_bytes)
-        config = mc.McConfig(
-            count_per_regime=cfg.get("count_per_regime", 300),
-            dim=cfg.get("dim", 16),
-            t_in=cfg.get("t_in", 252),
-            t_out=cfg.get("t_out", 252),
-            seed=cfg.get("seed", 0),
-        )
-        gen_fn = None
-        if cfg.get("generator") == "checkpoint":
-            ckpt = gan.load_checkpoint(cfg["checkpoint"])
-
-            def gen_fn(regime, stream):
-                seed = rng.mix(config.seed, stream)
-                return gan.sample(ckpt, regime, 1, seed=seed).matrices[0]
-
-        records = mc.run(config, generator_fn=gen_fn)
-        mc.write_records(records, args.out)
-    elif args.mc_cmd == "explain":
-        records = mc.read_records(args.records)
-        model = mc.fit_surrogate(records, target=args.target)
-        bg = mc.design_matrix(records)
-        attributions = []
-        for r in records[: args.limit]:
-            att = mc.shapley(model, r.features.to_array(), bg)
-            attributions.append({
-                "regime": r.regime.value,
-                "phi": dict(zip(FEATURE_NAMES, att.phi.tolist())),
-                "baseline": att.baseline,
-                "prediction": att.prediction,
-            })
-        _write_json(args.report, {
-            "provenance": _provenance(_args_bytes(args), None),
-            "target": args.target,
-            "r2": model.r2,
-            "coefficients": dict(zip(FEATURE_NAMES,
-                                     model.coefficients.tolist())),
-            "attributions": attributions,
-        })
-    else:
-        records = mc.read_records(args.records)
-        findings = mc.regime_findings(records)
-        _write_json(args.report, {
-            "provenance": _provenance(_args_bytes(args), None),
-            "findings": findings,
-        })
-    return 0
+def _write_findings(records, report, prov):
+    _write_json(report, {"provenance": prov,
+                         "findings": mc.regime_findings(records)})
 
 
-# keys each ``repro`` section must hold; ``eval`` is optional
+def _surrogate_report(records, target, prov):
+    """The surrogate fit for ``target`` as a report, and a function giving
+    a record's Shapley attribution under that fit."""
+    model = mc.fit_surrogate(records, target=target)
+    bg = mc.design_matrix(records)
+
+    def explain(record):
+        att = mc.shapley(model, record.features.to_array(), bg)
+        return {"phi": dict(zip(FEATURE_NAMES, att.phi.tolist())),
+                "baseline": att.baseline, "prediction": att.prediction}
+
+    coefficients = dict(zip(FEATURE_NAMES, model.coefficients.tolist()))
+    return {"provenance": prov, "target": target, "r2": model.r2,
+            "coefficients": coefficients}, explain
+
+
+def cmd_train(args):
+    cfg_bytes = Path(args.config).read_bytes()
+    config = _gan_config(json.loads(cfg_bytes))
+    _train(config, args.corpus, args.out, _provenance(cfg_bytes, config.seed))
+
+
+def cmd_generate(args):
+    _generate(args.ckpt, [RegimeLabel(args.regime)], args.count, args.seed,
+              args.out, project=not args.no_project,
+              meta=lambda batch: {
+                  "regime": args.regime, "seed": args.seed,
+                  "projected": batch.projected,
+                  "untrained_warning": batch.untrained_warning,
+                  "provenance": _provenance(_args_bytes(args), args.seed),
+              })
+
+
+def cmd_evaluate(args):
+    _evaluate(args.real, args.synth, args.seed, args.report,
+              _provenance(_args_bytes(args), args.seed),
+              clouds_prefix=Path(args.report).with_suffix(""))
+
+
+def cmd_mc_run(args):
+    cfg = json.loads(Path(args.config).read_bytes())
+    config = _mc_config(cfg)
+    gen_fn = None
+    if cfg.get("generator") == "checkpoint":
+        if not isinstance(cfg.get("checkpoint"), str):
+            raise ConfigError("mc config 'checkpoint' must name a directory")
+        ckpt = gan.load_checkpoint(cfg["checkpoint"])
+
+        def gen_fn(regime, stream):
+            seed = rng.mix(config.seed, stream)
+            return gan.sample(ckpt, regime, 1, seed=seed).matrices[0]
+
+    _run_mc(config, args.out, gen_fn)
+
+
+def cmd_mc_explain(args):
+    records = mc.read_records(args.records)
+    report, explain = _surrogate_report(
+        records, args.target, _provenance(_args_bytes(args), None))
+    report["attributions"] = [{"regime": r.regime.value, **explain(r)}
+                              for r in records[: args.limit]]
+    _write_json(args.report, report)
+
+
+def cmd_mc_findings(args):
+    _write_findings(mc.read_records(args.records), args.report,
+                    _provenance(_args_bytes(args), None))
+
+
+# keys each ``repro`` section must hold, all integers; ``eval`` is optional
 _REPRO_KEYS = {
     "corpus": ("count_per_regime", "dim", "seed"),
     "gan": (),
@@ -391,20 +438,16 @@ _REPRO_KEYS = {
 
 def _check_repro_config(cfg):
     """Raise ``ConfigError`` unless ``cfg`` holds what every stage reads."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("repro config must be a JSON object")
+    _check_section(cfg, (), "repro config")
     for section, keys in _REPRO_KEYS.items():
-        if not isinstance(cfg.get(section), dict):
-            raise ConfigError(f"repro config lacks a {section!r} object")
+        what = f"repro config {section!r}"
+        _check_section(cfg.get(section), keys, what)
         missing = [k for k in keys if k not in cfg[section]]
         if missing:
-            raise ConfigError(f"repro config {section!r} lacks {missing}")
-    if not isinstance(cfg.get("eval", {}), dict):
-        raise ConfigError("repro config 'eval' must be an object")
-    try:
-        gan.GanConfig.from_dict(cfg["gan"])
-    except TypeError as exc:
-        raise ConfigError(f"repro config 'gan': {exc}") from None
+            raise ConfigError(f"{what} lacks {missing}")
+    _check_section(cfg.get("eval", {}), ("seed",), "repro config 'eval'")
+    _gan_config(cfg["gan"], "repro config 'gan'")
+    _mc_config(cfg["mc"], "repro config 'mc'")
 
 
 def cmd_repro(args):
@@ -412,8 +455,8 @@ def cmd_repro(args):
     _check_repro_config(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    corpus_dir, ckpt_dir = out / "corpus", out / "ckpt"
-    synth_dir = out / "synth"
+    corpus_dir, ckpt_dir, synth_dir = out / "corpus", out / "ckpt", out / "synth"
+    corpus_cfg, gen_cfg, eval_cfg = cfg["corpus"], cfg["generate"], cfg.get("eval", {})
 
     def stage(*inputs):
         """Provenance of a stage; its key hashes the stage's own sub-config
@@ -439,87 +482,42 @@ def cmd_repro(args):
         return True
 
     # 1. surrogate corpus
-    corpus_prov = stage(cfg["corpus"])
+    corpus_prov = stage(corpus_cfg)
     if fresh(corpus_dir / "provenance.json", corpus_prov,
              corpus_dir / "manifest.json", corpus_dir / "matrices.f64le"):
-        corp = corpus_mod.build_surrogate(
-            cfg["corpus"]["count_per_regime"], cfg["corpus"]["dim"],
-            seed=cfg["corpus"]["seed"],
-        )
-        corpus_mod.write_corpus(corp, corpus_dir)
+        _synth_corpus(corpus_cfg["count_per_regime"], corpus_cfg["dim"],
+                      corpus_cfg["seed"], corpus_dir)
         _write_json(corpus_dir / "provenance.json", corpus_prov)
 
     # 2. train
     train_prov = stage(cfg["gan"], corpus_prov["config_sha256"])
     if fresh(ckpt_dir / "provenance.json", train_prov):
-        config = gan.GanConfig.from_dict(cfg["gan"])
-        ckpt = gan.train(gan.build(config), corpus_mod.read_corpus(corpus_dir))
-        gan.save_checkpoint(ckpt, ckpt_dir)
-        _write_json(ckpt_dir / "provenance.json", train_prov)
+        _train(_gan_config(cfg["gan"]), corpus_dir, ckpt_dir, train_prov)
 
     # 3. generate
-    gen_cfg = cfg["generate"]
     gen_prov = stage(gen_cfg, train_prov["config_sha256"])
     if fresh(synth_dir / "provenance.json", gen_prov,
              synth_dir / "manifest.json", synth_dir / "matrices.f64le"):
-        ckpt = gan.load_checkpoint(ckpt_dir)
-        items = []
-        for regime in gan.REGIMES:
-            batch = gan.sample(ckpt, regime, gen_cfg["count_per_regime"],
-                               seed=gen_cfg["seed"])
-            items += [
-                corpus_mod.CorpusItem(m, regime, {"displacement": d})
-                for m, d in zip(batch.matrices, batch.displacements)
-            ]
-        synth = corpus_mod.LabeledCorpus(
-            ckpt.config.dim, items, corpus_mod.CorpusSource.SURROGATE,
-            meta={"generated": True},
-        )
-        corpus_mod.write_corpus(synth, synth_dir)
+        _generate(ckpt_dir, gan.REGIMES, gen_cfg["count_per_regime"],
+                  gen_cfg["seed"], synth_dir)
         _write_json(synth_dir / "provenance.json", gen_prov)
 
     # 4. evaluate
-    eval_cfg = cfg.get("eval", {})
     eval_prov = stage(eval_cfg, corpus_prov["config_sha256"],
                       gen_prov["config_sha256"])
     if fresh(out / "evaluation.json", eval_prov):
-        report = _evaluate_corpora(corpus_mod.read_corpus(corpus_dir),
-                                   corpus_mod.read_corpus(synth_dir),
-                                   seed=eval_cfg.get("seed", 0))
-        report["provenance"] = eval_prov
-        _write_json(out / "evaluation.json", report)
+        _evaluate(corpus_dir, synth_dir, eval_cfg.get("seed", 0),
+                  out / "evaluation.json", eval_prov)
 
     # 5. monte carlo + findings + attribution (regime sampler, not the GAN)
-    mc_cfg = cfg["mc"]
-    mc_prov = stage(mc_cfg)
+    mc_prov = stage(cfg["mc"])
     if fresh(out / "shap.json", mc_prov,
              out / "records.ndjson", out / "findings.json"):
-        config = mc.McConfig(
-            count_per_regime=mc_cfg["count_per_regime"], dim=mc_cfg["dim"],
-            t_in=mc_cfg.get("t_in", 252), t_out=mc_cfg.get("t_out", 252),
-            seed=mc_cfg["seed"],
-        )
-        records = mc.run(config)
-        mc.write_records(records, out / "records.ndjson")
-        findings = mc.regime_findings(records)
-        _write_json(out / "findings.json", {"provenance": mc_prov,
-                                            "findings": findings})
-        model = mc.fit_surrogate(records, target="outperformance")
-        bg = mc.design_matrix(records)
-        att = mc.shapley(model, records[0].features.to_array(), bg)
-        _write_json(out / "shap.json", {
-            "provenance": mc_prov,
-            "target": "outperformance",
-            "r2": model.r2,
-            "coefficients": dict(zip(FEATURE_NAMES,
-                                     model.coefficients.tolist())),
-            "example_attribution": {
-                "phi": dict(zip(FEATURE_NAMES, att.phi.tolist())),
-                "baseline": att.baseline,
-                "prediction": att.prediction,
-            },
-        })
-    return 0
+        records = _run_mc(_mc_config(cfg["mc"]), out / "records.ndjson")
+        _write_findings(records, out / "findings.json", mc_prov)
+        report, explain = _surrogate_report(records, "outperformance", mc_prov)
+        report["example_attribution"] = explain(records[0])
+        _write_json(out / "shap.json", report)
 
 
 def _args_bytes(args) -> bytes:
@@ -580,14 +578,14 @@ def build_parser():
     g1.add_argument("--t", type=float, required=True)
     g1.add_argument("--out", required=True)
     g1.add_argument("--meta", required=True)
-    g1.set_defaults(func=cmd_geometry)
+    g1.set_defaults(func=cmd_geodesic)
     g2 = gsub.add_parser("mean")
     g2.add_argument("--method", required=True,
                     choices=["m1", "m2", "m3", "m4", "m5"])
     g2.add_argument("--in", required=True)
     g2.add_argument("--out", required=True)
     g2.add_argument("--meta", required=True)
-    g2.set_defaults(func=cmd_geometry)
+    g2.set_defaults(func=cmd_mean)
 
     s = sub.add_parser("corpus", help="build, synthesize or inspect corpora")
     csub = s.add_subparsers(dest="corpus_cmd", required=True)
@@ -596,16 +594,16 @@ def build_parser():
     c1.add_argument("--window", type=int, default=252)
     c1.add_argument("--step", type=int, default=21)
     c1.add_argument("--out", required=True)
-    c1.set_defaults(func=cmd_corpus)
+    c1.set_defaults(func=cmd_corpus_build)
     c2 = csub.add_parser("synth")
     c2.add_argument("--count", type=int, required=True)
     c2.add_argument("--dim", type=int, default=16)
     c2.add_argument("--seed", type=int, default=0)
     c2.add_argument("--out", required=True)
-    c2.set_defaults(func=cmd_corpus)
+    c2.set_defaults(func=cmd_corpus_synth)
     c3 = csub.add_parser("inspect")
     c3.add_argument("dir")
-    c3.set_defaults(func=cmd_corpus)
+    c3.set_defaults(func=cmd_corpus_inspect)
 
     s = sub.add_parser("train", help="train the conditional GAN")
     s.add_argument("--corpus", required=True)
@@ -643,18 +641,18 @@ def build_parser():
     m1.add_argument("--config", required=True)
     m1.add_argument("--out", required=True)
     m1.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-    m1.set_defaults(func=cmd_mc)
+    m1.set_defaults(func=cmd_mc_run)
     m2 = msub.add_parser("explain")
     m2.add_argument("--records", required=True)
     m2.add_argument("--target", required=True,
                     choices=["outperformance", "decay"])
     m2.add_argument("--report", required=True)
     m2.add_argument("--limit", type=int, default=10)
-    m2.set_defaults(func=cmd_mc)
+    m2.set_defaults(func=cmd_mc_explain)
     m3 = msub.add_parser("findings")
     m3.add_argument("--records", required=True)
     m3.add_argument("--report", required=True)
-    m3.set_defaults(func=cmd_mc)
+    m3.set_defaults(func=cmd_mc_findings)
 
     s = sub.add_parser("repro", help="full pipeline from one config")
     s.add_argument("--config", required=True)
@@ -671,7 +669,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except _DATA_ERRORS as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return 3
@@ -681,6 +679,7 @@ def main(argv=None) -> int:
     except CorrlabError as exc:
         print(f"error: invalid: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

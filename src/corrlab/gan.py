@@ -22,7 +22,7 @@ import numpy as np
 from . import neural, rng
 from .core import nearest_correlation
 from .corpus import LabeledCorpus
-from .exceptions import ConfigError, TrainingDiverged
+from .exceptions import ConfigError, NumericalFailure, TrainingDiverged
 from .samplers import RegimeLabel
 
 REGIMES = (RegimeLabel.STRESSED, RegimeLabel.NORMAL, RegimeLabel.RALLY)
@@ -243,7 +243,7 @@ def train(
                 ]
                 try:
                     opt_d.step(merged)
-                except Exception as exc:
+                except NumericalFailure as exc:
                     raise TrainingDiverged(str(exc), last_checkpoint=ckpt)
 
             z = g_epoch.standard_normal((bs, config.noise_dim)).astype(
@@ -264,7 +264,7 @@ def train(
             _, gg = ckpt.generator.backward(cg, dtri)
             try:
                 opt_g.step(gg)
-            except Exception as exc:
+            except NumericalFailure as exc:
                 raise TrainingDiverged(str(exc), last_checkpoint=ckpt)
 
             if not (np.isfinite(d_loss) and np.isfinite(g_loss)):

@@ -1,11 +1,14 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from corrlab import cli, corpus, evaluation, gan
+from corrlab import cli, core, corpus, evaluation, gan, mc
+from corrlab.facts import FEATURE_NAMES, stylized_report
 
 
 def run_cli(*args):
@@ -78,6 +81,65 @@ class TestExitCodes:
         assert r.returncode == 2
         assert r.stderr.startswith("error: invalid: repro config")
         assert r.stderr.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c["corpus"].update(count_per_regime=12.0),
+        lambda c: c["generate"].update(seed="13"),
+        lambda c: c["mc"].update(dim=24.5),
+        lambda c: c["mc"].update(t_in="120"),
+        lambda c: c["eval"].update(seed=None),
+        lambda c: c["gan"].update(epochs=True),
+        lambda c: c["gan"].update(learning_rate=0.1),
+    ], ids=["float-corpus-count", "string-generate-seed", "float-mc-dim",
+            "string-mc-t-in", "null-eval-seed", "bool-gan-epochs",
+            "unknown-gan-key"])
+    def test_bad_repro_config(self, tmp_path, capsys, edit):
+        cfg = json.loads(json.dumps(REPRO_CONFIG))
+        edit(cfg)
+        path = tmp_path / "repro.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["repro", "--config", str(path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid: repro config")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config", [
+        ("train", {"dim": 16, "epochs": 1, "learning_rate": 0.1}),
+        ("train", [16, 1]),
+        ("train", {"dim": 16, "epochs": 1, "seed": "7"}),
+        ("train", {"dim": 16.0, "epochs": 1}),
+        ("mc run", [2, 16]),
+        ("mc run", {"count_per_regime": 2.5}),
+        ("mc run", {"count_per_regime": 2, "dim": "16"}),
+        ("mc run", {"count_per_regime": 2, "seed": 1.0}),
+        ("mc run", {"count_per_regime": 2, "generator": "checkpoint"}),
+    ], ids=["train-unknown-key", "train-not-object", "train-string-seed",
+            "train-float-dim", "mc-not-object", "mc-float-count",
+            "mc-string-dim", "mc-float-seed", "mc-no-checkpoint"])
+    def test_bad_subcommand_config(self, tmp_path, capsys, command, config):
+        corpus.write_corpus(corpus.build_surrogate(2, 16, seed=0),
+                            tmp_path / "corpus")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        extra = ["--corpus", str(tmp_path / "corpus")] * (command == "train")
+        argv = [*command.split(), "--config", str(path), "--out", str(out)]
+        assert cli.main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_sample_count_zero(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert cli.main(["sample", "--method", "onion", "--count", "0",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: invalid: count must be >= 1\n"
         assert not out.exists()
 
 
@@ -318,3 +380,161 @@ class TestReproCache:
         repro(tmp_path, REPRO_CONFIG, out)
         assert calls == {"train": 1}
         assert tree(out) == before
+
+
+def provenance_of(argv, seed):
+    """The provenance block a subcommand records for its own arguments."""
+    args = cli.build_parser().parse_args(argv)
+    return cli._provenance(cli._args_bytes(args), seed)
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """``repro`` on REPRO_CONFIG, and the same stages run one subcommand at
+    a time on its sections: (repro --out, subcommand dir, argv, exit code)."""
+    base = tmp_path_factory.mktemp("pipeline")
+    repro(base, REPRO_CONFIG, base / "repro")
+    sub = base / "sub"
+    sub.mkdir()
+    (sub / "gan.json").write_text(json.dumps(REPRO_CONFIG["gan"]))
+    (sub / "mc.json").write_text(json.dumps(REPRO_CONFIG["mc"]))
+    c, g = REPRO_CONFIG["corpus"], REPRO_CONFIG["generate"]
+
+    def generate(regime, out, *flags):
+        return ["generate", "--ckpt", sub / "ckpt", "--regime", regime,
+                "--count", g["count_per_regime"], "--seed", g["seed"],
+                "--out", sub / out, *flags]
+
+    argvs = {
+        "synth": ["corpus", "synth", "--count", c["count_per_regime"],
+                  "--dim", c["dim"], "--seed", c["seed"],
+                  "--out", sub / "corpus"],
+        "train": ["train", "--corpus", sub / "corpus",
+                  "--config", sub / "gan.json", "--out", sub / "ckpt"],
+        **{f"generate-{r.value}": generate(r.value, f"synth-{r.value}")
+           for r in gan.REGIMES},
+        "generate-raw": generate("stressed", "raw", "--no-project"),
+        "evaluate": ["evaluate", "--real", sub / "corpus",
+                     "--synth", sub / "synth-stressed",
+                     "--report", sub / "eval.json", "--seed", 3],
+        "mc-run": ["mc", "run", "--config", sub / "mc.json",
+                   "--out", sub / "records.ndjson"],
+        "mc-findings": ["mc", "findings", "--records", sub / "records.ndjson",
+                        "--report", sub / "findings.json"],
+        "mc-explain": ["mc", "explain", "--records", sub / "records.ndjson",
+                       "--target", "outperformance",
+                       "--report", sub / "explain.json", "--limit", 3],
+    }
+    argvs = {name: [str(a) for a in argv] for name, argv in argvs.items()}
+    codes = {name: cli.main(argv) for name, argv in argvs.items()}
+    return base / "repro", sub, argvs, codes
+
+
+class TestPipelineSubcommands:
+    def test_every_subcommand_exits_0(self, pipeline):
+        _, _, argvs, codes = pipeline
+        assert codes == {name: 0 for name in argvs}
+
+    def test_train_matches_repro_checkpoint(self, pipeline):
+        out, sub, _, _ = pipeline
+        ours, theirs = tree(sub / "ckpt"), tree(out / "ckpt")
+        assert ours.pop(Path("provenance.json")) != theirs.pop(
+            Path("provenance.json"))
+        assert len(ours) > 2
+        assert ours == theirs
+        ours = gan.load_checkpoint(sub / "ckpt")
+        theirs = gan.load_checkpoint(out / "ckpt")
+        assert ours.generator.weight_bytes() == theirs.generator.weight_bytes()
+        assert (ours.discriminator.weight_bytes()
+                == theirs.discriminator.weight_bytes())
+        config_bytes = (sub / "gan.json").read_bytes()
+        assert json.loads((sub / "ckpt" / "provenance.json").read_text()) == {
+            "tool": "corrlab", "version": cli.__version__,
+            "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
+            "seed": REPRO_CONFIG["gan"]["seed"],
+        }
+
+    def test_generate_matches_repro_synth(self, pipeline):
+        out, sub, argvs, _ = pipeline
+        synth = corpus.read_corpus(out / "synth")
+        assert synth.meta == {"generated": True}
+        seed = REPRO_CONFIG["generate"]["seed"]
+        for regime in gan.REGIMES:
+            ours = corpus.read_corpus(sub / f"synth-{regime.value}")
+            assert ours.meta == {
+                "generated": True, "regime": regime.value, "seed": seed,
+                "projected": True, "untrained_warning": False,
+                "provenance": provenance_of(argvs[f"generate-{regime.value}"],
+                                            seed),
+            }
+            theirs = [it for it in synth.items if it.label == regime]
+            assert len(ours.items) == len(theirs) == 4
+            for a, b in zip(ours.items, theirs):
+                assert a.label == regime
+                assert np.array_equal(a.matrix, b.matrix)
+                assert a.meta == b.meta
+
+    def test_generate_no_project(self, pipeline):
+        _, sub, argvs, _ = pipeline
+        raw = corpus.read_corpus(sub / "raw")
+        projected = corpus.read_corpus(sub / "synth-stressed")
+        assert raw.meta["projected"] is False
+        assert raw.meta["provenance"] == provenance_of(
+            argvs["generate-raw"], REPRO_CONFIG["generate"]["seed"])
+        for r, p in zip(raw.items, projected.items, strict=True):
+            assert r.meta == {"displacement": 0.0}
+            assert np.array_equal(r.matrix, r.matrix.T)
+            assert np.all(np.diag(r.matrix) == 1.0)
+            assert np.array_equal(core.nearest_correlation(r.matrix), p.matrix)
+            assert p.meta["displacement"] == pytest.approx(
+                np.linalg.norm(p.matrix - r.matrix, ord="fro"), abs=1e-12)
+
+    def test_evaluate_report_and_clouds(self, pipeline):
+        _, sub, argvs, _ = pipeline
+        report = json.loads((sub / "eval.json").read_text())
+        assert set(report) == {"distance_stats", "classifier",
+                               "stylized_facts", "provenance"}
+        assert report["provenance"] == provenance_of(argvs["evaluate"], 3)
+        real_cloud = cli._read_matrix_csv(sub / "eval_real_cloud.csv")
+        synth_cloud = cli._read_matrix_csv(sub / "eval_synth_cloud.csv")
+        assert real_cloud.shape == (36, 2)
+        assert synth_cloud.shape == (4, 2)
+        # the synthetic corpus holds one regime, so only it is compared
+        real = corpus.read_corpus(sub / "corpus").matrices(gan.REGIMES[0])
+        synth = corpus.read_corpus(sub / "synth-stressed").matrices(
+            gan.REGIMES[0])
+        assert report["stylized_facts"] == {"stressed": {
+            "sf1_real": float(np.mean(
+                [stylized_report(m).sf1_mean_offdiag for m in real])),
+            "sf1_synth": float(np.mean(
+                [stylized_report(m).sf1_mean_offdiag for m in synth])),
+            "sf2_real": float(np.mean(
+                [stylized_report(m).sf2_top_eig_share for m in real])),
+            "sf2_synth": float(np.mean(
+                [stylized_report(m).sf2_top_eig_share for m in synth])),
+        }}
+
+    def test_mc_subcommands_match_repro(self, pipeline):
+        out, sub, argvs, _ = pipeline
+        assert ((sub / "records.ndjson").read_bytes()
+                == (out / "records.ndjson").read_bytes())
+        findings = json.loads((sub / "findings.json").read_text())
+        assert findings["provenance"] == provenance_of(argvs["mc-findings"],
+                                                       None)
+        assert findings["findings"] == json.loads(
+            (out / "findings.json").read_text())["findings"]
+        explain = json.loads((sub / "explain.json").read_text())
+        shap = json.loads((out / "shap.json").read_text())
+        assert explain["provenance"] == provenance_of(argvs["mc-explain"],
+                                                      None)
+        for key in ("target", "r2", "coefficients"):
+            assert explain[key] == shap[key]
+        records = mc.read_records(sub / "records.ndjson")
+        attributions = explain["attributions"]
+        assert [a.pop("regime") for a in attributions] == [
+            r.regime.value for r in records[:3]]
+        assert attributions[0] == shap["example_attribution"]
+        for a in attributions:
+            assert list(a["phi"]) == sorted(FEATURE_NAMES)
+            assert a["baseline"] + sum(a["phi"].values()) == pytest.approx(
+                a["prediction"], abs=1e-9)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from corrlab import corpus, gan
+from corrlab import corpus, gan, neural
 from corrlab.core import validate
-from corrlab.exceptions import ConfigError
+from corrlab.exceptions import ConfigError, TrainingDiverged
 from corrlab.gan import GanConfig, REGIMES
 from corrlab.samplers import RegimeLabel
 
@@ -102,6 +102,22 @@ class TestTrain:
         b = gan.sample(trained, RegimeLabel.NORMAL, 2, seed=7)
         for x, y in zip(a.matrices, b.matrices):
             assert np.array_equal(x, y)
+
+    def test_optimizer_bug_is_not_divergence(self, small_corpus, monkeypatch):
+        def broken_step(self, grads):
+            raise TypeError("bug in the optimizer")
+
+        monkeypatch.setattr(neural.Adam, "step", broken_step)
+        ckpt = gan.build(GanConfig(dim=16, epochs=1, batch_size=8, seed=5))
+        with pytest.raises(TypeError, match="bug in the optimizer"):
+            gan.train(ckpt, small_corpus)
+
+    def test_nan_gradient_is_divergence(self, small_corpus):
+        ckpt = gan.build(GanConfig(dim=16, epochs=1, batch_size=8, seed=5))
+        ckpt.discriminator.layers[0].w[0, 0] = np.nan
+        with pytest.raises(TrainingDiverged, match="NaN/Inf gradient") as info:
+            gan.train(ckpt, small_corpus)
+        assert info.value.last_checkpoint is ckpt
 
 
 class TestCheckpoint:
