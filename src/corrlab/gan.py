@@ -237,12 +237,8 @@ def train(
                 _, gf = ckpt.discriminator.backward(
                     cf, _bce_grad(yf, 0.0, 2 * bs)
                 )
-                merged = [
-                    {k: gr[i][k] + gf[i][k] for k in gr[i]}
-                    for i in range(len(gr))
-                ]
                 try:
-                    opt_d.step(merged)
+                    opt_d.step(gr + gf)
                 except NumericalFailure as exc:
                     raise TrainingDiverged(str(exc), last_checkpoint=ckpt)
 

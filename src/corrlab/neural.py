@@ -51,10 +51,6 @@ class Layer:
         """Return (dx, {param_name: grad})."""
         raise NotImplementedError
 
-    def set_dtype(self, dtype):
-        for k, v in self.params().items():
-            setattr(self, k, v.astype(dtype))
-
 
 def _glorot(rng, fan_in, fan_out, shape, dtype):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -345,7 +341,13 @@ _LAYER_KINDS = {
 
 
 class Network:
-    """A static stack of layers with a validated forward shape chain."""
+    """A static stack of layers with a validated forward shape chain.
+
+    Every parameter lives in the flat array ``theta``, in NNCK order: layer
+    order, then parameter name (``b`` before ``w``).  Each layer's ``w`` and
+    ``b`` are reshaped views into ``theta``, so writing either one writes
+    ``theta`` and the reverse.
+    """
 
     def __init__(self, layers, input_shape):
         self.layers = list(layers)
@@ -357,21 +359,27 @@ class Network:
             except ShapeError as exc:
                 raise ShapeError(f"layer {idx}: {exc}")
         self.output_shape = shape
+        self._slices, params, offset = [], [np.zeros(0, np.float32)], 0
+        for layer in self.layers:
+            slices = {}
+            for name, p in sorted(layer.params().items()):
+                slices[name] = slice(offset, offset + p.size)
+                params.append(p.ravel())
+                offset += p.size
+            self._slices.append(slices)
+        self.theta = np.concatenate(params)
+        self._bind()
 
-    def param_list(self):
-        """Flat (layer_index, name, array) list in a fixed order."""
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name in sorted(layer.params()):
-                out.append((i, name, layer.params()[name]))
-        return out
-
-    def param_count(self):
-        return sum(p.size for _, _, p in self.param_list())
+    def _bind(self):
+        """Point every layer parameter at its slice of ``theta``."""
+        for layer, slices in zip(self.layers, self._slices):
+            for name, s in slices.items():
+                shape = getattr(layer, name).shape
+                setattr(layer, name, self.theta[s].reshape(shape))
 
     def set_dtype(self, dtype):
-        for layer in self.layers:
-            layer.set_dtype(dtype)
+        self.theta = self.theta.astype(dtype)
+        self._bind()
 
     def forward(self, x):
         """Run the stack; returns (output, cache handle for backward)."""
@@ -386,42 +394,28 @@ class Network:
         return x, caches
 
     def backward(self, caches, dout):
-        """Gradients of every parameter plus the input gradient."""
+        """Input gradient, and the parameter gradient laid out like
+        ``theta``."""
         if len(caches) != len(self.layers):
             raise InvalidInput("cache does not match this network")
-        grads = [None] * len(self.layers)
+        grad = np.empty_like(self.theta)
         for i in range(len(self.layers) - 1, -1, -1):
             dout, g = self.layers[i].backward(caches[i], dout)
-            grads[i] = g
-        return dout, grads
-
-    def grad_list(self, grads):
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name in sorted(layer.params()):
-                out.append(grads[i][name])
-        return out
+            for name, s in self._slices[i].items():
+                grad[s] = g[name].ravel()
+        return dout, grad
 
     # -- serialization ------------------------------------------------------
 
     def weight_bytes(self, dtype="<f4"):
-        return b"".join(
-            np.ascontiguousarray(p, dtype=dtype).tobytes()
-            for _, _, p in self.param_list()
-        )
+        return self.theta.astype(dtype).tobytes()
 
     def load_weight_bytes(self, blob, dtype="<f4"):
-        offset = 0
-        itemsize = np.dtype(dtype).itemsize
-        for i, name, p in self.param_list():
-            n = p.size
-            chunk = np.frombuffer(blob, dtype=dtype, count=n,
-                                  offset=offset * itemsize)
-            arr = chunk.astype(p.dtype).reshape(p.shape)
-            setattr(self.layers[i], name, arr)
-            offset += n
-        if offset * itemsize != len(blob):
+        """Overwrite ``theta`` from ``blob``; ``CorruptData``, with nothing
+        written, when its size does not match."""
+        if len(blob) != self.theta.size * np.dtype(dtype).itemsize:
             raise CorruptData("weight payload size mismatch")
+        self.theta[:] = np.frombuffer(blob, dtype=dtype)
 
     def specs(self):
         return [layer.spec() for layer in self.layers]
@@ -477,7 +471,8 @@ def load_network(directory, dtype=np.float32):
 
 
 class Adam:
-    """Standard bias-corrected Adam over a network's parameter list."""
+    """Standard bias-corrected Adam over a network's ``theta``, updated in
+    place."""
 
     def __init__(self, net: Network, lr=1e-3, beta1=0.9, beta2=0.999,
                  epsilon=1e-8):
@@ -488,25 +483,33 @@ class Adam:
         self.net = net
         self.lr, self.beta1, self.beta2, self.epsilon = lr, beta1, beta2, epsilon
         self.step_count = 0
-        self.m = [np.zeros_like(p) for _, _, p in net.param_list()]
-        self.v = [np.zeros_like(p) for _, _, p in net.param_list()]
+        self.m, self.v, self._s, self._r = (
+            np.zeros_like(net.theta) for _ in range(4)
+        )
 
-    def step(self, grads):
-        flat = self.net.grad_list(grads)
-        for g in flat:
-            if not np.all(np.isfinite(g)):
-                raise NumericalFailure("NaN/Inf gradient; training halted")
+    def step(self, grad):
+        if not np.all(np.isfinite(grad)):
+            raise NumericalFailure("NaN/Inf gradient; training halted")
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
-        for k, (i, name, p) in enumerate(self.net.param_list()):
-            g = flat[k]
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            mhat = self.m[k] / (1 - b1 ** t)
-            vhat = self.v[k] / (1 - b2 ** t)
-            upd = self.lr * mhat / (np.sqrt(vhat) + self.epsilon)
-            setattr(self.net.layers[i], name, (p - upd).astype(p.dtype))
+        m, v, s, r = self.m, self.v, self._s, self._r
+        # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g
+        m *= b1
+        np.multiply(grad, 1 - b1, out=s)
+        m += s
+        v *= b2
+        np.multiply(grad, 1 - b2, out=s)
+        s *= grad
+        v += s
+        # theta -= lr mhat / (sqrt(vhat) + epsilon)
+        np.divide(m, 1 - b1 ** t, out=s)
+        s *= self.lr
+        np.divide(v, 1 - b2 ** t, out=r)
+        np.sqrt(r, out=r)
+        r += self.epsilon
+        s /= r
+        self.net.theta -= s
 
 
 # ---------------------------------------------------------------------------
@@ -522,27 +525,20 @@ def gradient_check(net: Network, x, loss_fn, n_probes=100, h=1e-5, seed=0):
     """
     y, caches = net.forward(x)
     _, dy = loss_fn(y)
-    _, grads = net.backward(caches, dy)
-    flat_grads = net.grad_list(grads)
-    plist = net.param_list()
+    _, grad = net.backward(caches, dy)
+    theta = net.theta
 
     rng = np.random.Generator(np.random.PCG64(seed))
     max_rel = 0.0
-    sizes = np.array([p.size for _, _, p in plist])
-    total = sizes.sum()
     for _ in range(n_probes):
-        flat_idx = int(rng.integers(total))
-        k = int(np.searchsorted(np.cumsum(sizes), flat_idx, side="right"))
-        local = flat_idx - (np.cumsum(sizes)[k] - sizes[k])
-        i, name, p = plist[k]
-        orig = p.flat[local]
-        p.flat[local] = orig + h
+        k = int(rng.integers(theta.size))
+        orig = theta[k]
+        theta[k] = orig + h
         lp, _ = loss_fn(net.forward(x)[0])
-        p.flat[local] = orig - h
+        theta[k] = orig - h
         lm, _ = loss_fn(net.forward(x)[0])
-        p.flat[local] = orig
+        theta[k] = orig
         fd = (lp - lm) / (2 * h)
-        an = flat_grads[k].flat[local]
-        denom = max(abs(fd), abs(an), 1e-8)
-        max_rel = max(max_rel, abs(fd - an) / denom)
+        denom = max(abs(fd), abs(grad[k]), 1e-8)
+        max_rel = max(max_rel, abs(fd - grad[k]) / denom)
     return max_rel
