@@ -10,7 +10,7 @@ allocation (:mod:`corrlab.portfolio`) and the Monte Carlo harness
 (:mod:`corrlab.mc`).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .core import (  # noqa: F401
     cholesky,

@@ -119,6 +119,15 @@ def _load_matrices(path):
 # subcommands
 
 
+def _eigenvalues(text):
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise InvalidInput(
+            f"--eigenvalues must be comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def cmd_sample(args):
     if args.count < 1:
         raise InvalidInput("count must be >= 1")
@@ -128,7 +137,7 @@ def cmd_sample(args):
         "cvine": lambda i: sample_cvine(args.dim, args.beta_a, args.beta_b,
                                         args.seed, stream=i),
         "spectrum": lambda i: sample_with_spectrum(
-            [float(x) for x in args.eigenvalues.split(",")], args.seed, stream=i),
+            _eigenvalues(args.eigenvalues), args.seed, stream=i),
         "factor": lambda i: sample_one_factor(
             args.dim, (args.beta_lo, args.beta_hi), args.seed, stream=i),
         "regime": lambda i: sample_regime(label, args.dim, seed=args.seed,
@@ -401,7 +410,10 @@ def cmd_mc_run(args):
     cfg = json.loads(Path(args.config).read_bytes())
     config = _mc_config(cfg)
     gen_fn = None
-    if cfg.get("generator") == "checkpoint":
+    if cfg.get("generator", "checkpoint") != "checkpoint":
+        raise ConfigError("mc config 'generator' must be \"checkpoint\" or "
+                          f"absent, not {cfg['generator']!r}")
+    if "generator" in cfg:
         if not isinstance(cfg.get("checkpoint"), str):
             raise ConfigError("mc config 'checkpoint' must name a directory")
         ckpt = gan.load_checkpoint(cfg["checkpoint"])
@@ -445,6 +457,9 @@ def _check_repro_config(cfg):
         missing = [k for k in keys if k not in cfg[section]]
         if missing:
             raise ConfigError(f"{what} lacks {missing}")
+    if cfg["generate"]["count_per_regime"] < 1:
+        raise ConfigError("repro config 'generate' count_per_regime must be "
+                          ">= 1")
     _check_section(cfg.get("eval", {}), ("seed",), "repro config 'eval'")
     _gan_config(cfg["gan"], "repro config 'gan'")
     _mc_config(cfg["mc"], "repro config 'mc'")

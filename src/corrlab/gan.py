@@ -5,10 +5,13 @@ of a correlation matrix through a final Tanh, which guarantees symmetry,
 unit diagonal and entries in (-1, 1) by construction; positive
 semidefiniteness is restored after sampling by nearest-correlation
 projection.  The discriminator scores (lower triangle, one-hot regime)
-pairs through a final Sigmoid.
+pairs and ends in a dense layer that emits a logit.
 
 Training uses the non-saturating GAN loss with alternating updates and
-is fully deterministic under the configured seed.
+is fully deterministic under the configured seed.  The loss is binary
+cross-entropy on logits, whose gradient (sigmoid(l) - t) / n stays exact
+where a float32 sigmoid saturates.  Each discriminator step takes one
+forward and one backward pass over the stacked [real; fake] batch.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import numpy as np
 from . import neural, rng
 from .core import nearest_correlation
 from .corpus import LabeledCorpus
-from .exceptions import ConfigError, NumericalFailure, TrainingDiverged
+from .exceptions import (ConfigError, InvalidInput, NumericalFailure,
+                         TrainingDiverged)
 from .samplers import RegimeLabel
 
 REGIMES = (RegimeLabel.STRESSED, RegimeLabel.NORMAL, RegimeLabel.RALLY)
@@ -121,7 +125,7 @@ def build(config: GanConfig) -> GanCheckpoint:
         disc = neural.Network([
             neural.Dense(din, 256, g), neural.LeakyReLU(0.2),
             neural.Dense(256, 128, g), neural.LeakyReLU(0.2),
-            neural.Dense(128, 1, g), neural.Sigmoid(),
+            neural.Dense(128, 1, g),
         ], (din,))
     else:
         d = config.dim
@@ -143,7 +147,7 @@ def build(config: GanConfig) -> GanCheckpoint:
             neural.LeakyReLU(0.2),
             neural.Conv2D(ch // 2, ch, 4, 2, 1, g), neural.LeakyReLU(0.2),
             neural.Flatten(),
-            neural.Dense(ch * base * base, 1, g), neural.Sigmoid(),
+            neural.Dense(ch * base * base, 1, g),
         ], (1 + config.regime_count, d, d))
     return GanCheckpoint(config, gen, disc)
 
@@ -172,16 +176,13 @@ def _disc_input_grad_tri(config, dinput):
     return dinput[:, 0][:, i, j] + dinput[:, 0][:, j, i]
 
 
-def _bce_grad(y, target, n):
-    """d(BCE)/d(sigmoid output); the sigmoid backward recovers (y - t)/n."""
-    denom = np.clip(y * (1.0 - y), 1e-12, None)
-    return (y - target) / denom / n
-
-
-def _bce(y, target):
-    eps = 1e-7
-    y = np.clip(y, eps, 1 - eps)
-    return float(-np.mean(target * np.log(y) + (1 - target) * np.log(1 - y)))
+def _bce_logits(logit, target):
+    """Mean binary cross-entropy of sigmoid(``logit``) against ``target``,
+    and its gradient (sigmoid(logit) - target) / n with respect to the
+    ``n`` logits."""
+    loss = float(np.mean(np.logaddexp(0, logit) - target * logit))
+    sigmoid = np.exp(-np.logaddexp(0, -logit))
+    return loss, (sigmoid - target) / logit.shape[0]
 
 
 def train(
@@ -196,6 +197,9 @@ def train(
     present = set(corp.labels())
     if present != set(REGIMES):
         raise ConfigError("corpus must contain all three regime labels")
+    if not isinstance(ckpt.discriminator.layers[-1], neural.Dense):
+        raise ConfigError("discriminator must end in a dense logit layer; a "
+                          "sigmoid-ended checkpoint can only be sampled")
 
     tris = np.stack([tri_from_matrix(it.matrix) for it in corp.items]).astype(
         np.float32
@@ -203,6 +207,7 @@ def train(
     hots = np.stack([one_hot(it.label) for it in corp.items]).astype(np.float32)
     n = tris.shape[0]
     bs = min(config.batch_size, n)
+    d_target = np.repeat(np.float32([[1.0], [0.0]]), bs, axis=0)
 
     opt_g = neural.Adam(ckpt.generator, lr=config.lr_g, beta1=0.5)
     opt_d = neural.Adam(ckpt.discriminator, lr=config.lr_d, beta1=0.5)
@@ -226,19 +231,13 @@ def train(
                 gin = np.concatenate([z, fake_hot], axis=1)
                 fake_tri, _ = ckpt.generator.forward(gin)
 
-                xr = _disc_input(config, real_tri, real_hot)
-                xf = _disc_input(config, fake_tri, fake_hot)
-                yr, cr = ckpt.discriminator.forward(xr)
-                yf, cf = ckpt.discriminator.forward(xf)
-                d_loss = 0.5 * (_bce(yr, 1.0) + _bce(yf, 0.0))
-                _, gr = ckpt.discriminator.backward(
-                    cr, _bce_grad(yr, 1.0, 2 * bs)
-                )
-                _, gf = ckpt.discriminator.backward(
-                    cf, _bce_grad(yf, 0.0, 2 * bs)
-                )
+                x = _disc_input(config, np.concatenate([real_tri, fake_tri]),
+                                np.concatenate([real_hot, fake_hot]))
+                logit, cd = ckpt.discriminator.forward(x)
+                d_loss, dlogit = _bce_logits(logit, d_target)
+                _, grad = ckpt.discriminator.backward(cd, dlogit)
                 try:
-                    opt_d.step(gr + gf)
+                    opt_d.step(grad)
                 except NumericalFailure as exc:
                     raise TrainingDiverged(str(exc), last_checkpoint=ckpt)
 
@@ -251,11 +250,9 @@ def train(
             gin = np.concatenate([z, fake_hot], axis=1)
             fake_tri, cg = ckpt.generator.forward(gin)
             xf = _disc_input(config, fake_tri, fake_hot)
-            yf, cf = ckpt.discriminator.forward(xf)
-            g_loss = _bce(yf, 1.0)
-            dinput, _ = ckpt.discriminator.backward(
-                cf, _bce_grad(yf, 1.0, bs)
-            )
+            logit, cf = ckpt.discriminator.forward(xf)
+            g_loss, dlogit = _bce_logits(logit, 1.0)
+            dinput, _ = ckpt.discriminator.backward(cf, dlogit)
             dtri = _disc_input_grad_tri(config, dinput)
             _, gg = ckpt.generator.backward(cg, dtri)
             try:
@@ -322,6 +319,8 @@ def sample(
 ) -> SampleBatch:
     """Draw ``count`` conditioned matrices; optionally project onto the
     elliptope, reporting the Frobenius displacement per sample."""
+    if count < 1:
+        raise InvalidInput("count must be >= 1")
     tri = _raw_tri(ckpt, regime, count, rng.mix(seed, 31))
     mats, disps = [], []
     for k in range(count):

@@ -5,9 +5,15 @@ over a static layer list; there is no general autodiff tape.  Every rule
 is verifiable against central finite differences (:func:`gradient_check`)
 in float64 mode.  Training runs in float32 by default.
 
+A :class:`Network` keeps every parameter in one flat array, ``theta``, in
+NNCK weight order: layer order, then parameter name inside a layer, so
+``b`` comes before ``w``.  Layers hold reshaped views into it, backward
+returns one gradient array of the same layout, and :class:`Adam` updates
+``theta`` in place.
+
 Checkpoint format "NNCK v1": ``model.json`` (layer specs, hyperparams,
 seed, step count, SHA-256 of the weight payload) next to ``weights.f32le``
-(all parameters concatenated in layer order).
+(``theta`` as little-endian float32).
 """
 
 from __future__ import annotations
@@ -341,13 +347,8 @@ _LAYER_KINDS = {
 
 
 class Network:
-    """A static stack of layers with a validated forward shape chain.
-
-    Every parameter lives in the flat array ``theta``, in NNCK order: layer
-    order, then parameter name (``b`` before ``w``).  Each layer's ``w`` and
-    ``b`` are reshaped views into ``theta``, so writing either one writes
-    ``theta`` and the reverse.
-    """
+    """A static stack of layers with a validated forward shape chain; its
+    layers' parameters are views into the flat array ``theta``."""
 
     def __init__(self, layers, input_shape):
         self.layers = list(layers)
@@ -394,8 +395,7 @@ class Network:
         return x, caches
 
     def backward(self, caches, dout):
-        """Input gradient, and the parameter gradient laid out like
-        ``theta``."""
+        """Input gradient and parameter gradient (laid out like ``theta``)."""
         if len(caches) != len(self.layers):
             raise InvalidInput("cache does not match this network")
         grad = np.empty_like(self.theta)
@@ -411,8 +411,7 @@ class Network:
         return self.theta.astype(dtype).tobytes()
 
     def load_weight_bytes(self, blob, dtype="<f4"):
-        """Overwrite ``theta`` from ``blob``; ``CorruptData``, with nothing
-        written, when its size does not match."""
+        """Overwrite ``theta``; on a size mismatch, raise before writing."""
         if len(blob) != self.theta.size * np.dtype(dtype).itemsize:
             raise CorruptData("weight payload size mismatch")
         self.theta[:] = np.frombuffer(blob, dtype=dtype)
@@ -471,8 +470,7 @@ def load_network(directory, dtype=np.float32):
 
 
 class Adam:
-    """Standard bias-corrected Adam over a network's ``theta``, updated in
-    place."""
+    """Standard bias-corrected Adam, updating a network's ``theta`` in place."""
 
     def __init__(self, net: Network, lr=1e-3, beta1=0.9, beta2=0.999,
                  epsilon=1e-8):

@@ -142,6 +142,29 @@ class TestExitCodes:
         assert err == "error: invalid: count must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        lambda d: ["sample", "--method", "spectrum"],
+        lambda d: ["sample", "--method", "spectrum", "--eigenvalues", "1,x"],
+        lambda d: ["generate", "--ckpt", str(d / "ckpt"), "--regime",
+                   "normal", "--count", "0"],
+        lambda d: ["mc", "run", "--config", str(d / "mc.json")],
+        lambda d: ["repro", "--config", str(d / "repro.json")],
+    ], ids=["spectrum-no-eigenvalues", "spectrum-not-numeric",
+            "generate-count-zero", "mc-unknown-generator",
+            "repro-generate-count-zero"])
+    def test_rejected_before_writing(self, tmp_path, capsys, argv):
+        gan.save_checkpoint(gan.build(gan.GanConfig()), tmp_path / "ckpt")
+        (tmp_path / "mc.json").write_text(json.dumps(
+            {"count_per_regime": 1, "dim": 8, "generator": "gan"}))
+        (tmp_path / "repro.json").write_text(json.dumps(
+            with_changes("generate", count_per_regime=0)))
+        out = tmp_path / "out"
+        assert cli.main(argv(tmp_path) + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSampleAndInspect:
     def test_sample_writes_container(self, tmp_path):
@@ -374,6 +397,22 @@ class TestReproCache:
             marker.unlink()
         else:
             marker.write_text('{"config_sha256": ')
+        monkeypatch.setattr(corpus, "build_surrogate", refuse)
+        calls = {}
+        count_calls(monkeypatch, gan, "train", calls)
+        repro(tmp_path, REPRO_CONFIG, out)
+        assert calls == {"train": 1}
+        assert tree(out) == before
+
+    def test_checkpoint_of_older_version_retrains(self, tmp_path,
+                                                  monkeypatch):
+        out = tmp_path / "out"
+        repro(tmp_path, REPRO_CONFIG, out)
+        before = tree(out)
+        marker = out / "ckpt" / "provenance.json"
+        prov = json.loads(marker.read_text())
+        assert prov["version"] == cli.__version__ != "0.1.0"
+        marker.write_text(json.dumps({**prov, "version": "0.1.0"}))
         monkeypatch.setattr(corpus, "build_surrogate", refuse)
         calls = {}
         count_calls(monkeypatch, gan, "train", calls)

@@ -3,7 +3,7 @@ import pytest
 
 from corrlab import corpus, gan, neural
 from corrlab.core import validate
-from corrlab.exceptions import ConfigError, TrainingDiverged
+from corrlab.exceptions import ConfigError, InvalidInput, TrainingDiverged
 from corrlab.gan import GanConfig, REGIMES
 from corrlab.samplers import RegimeLabel
 
@@ -73,6 +73,67 @@ class TestBuild:
             assert np.all(np.abs(m) <= 1.0)
 
 
+class TestLoss:
+    def test_saturated_logits_keep_their_gradient(self):
+        logit = np.float32([[30.0], [-30.0], [30.0], [-30.0]])
+        target = np.float32([[0.0], [1.0], [1.0], [0.0]])
+        loss, dlogit = gan._bce_logits(logit, target)
+        l64 = logit.astype(np.float64)
+        expected = (1.0 / (1.0 + np.exp(-l64)) - target) / len(logit)
+        assert dlogit.dtype == np.float32
+        np.testing.assert_allclose(dlogit, expected, rtol=1e-6, atol=1e-12)
+        assert dlogit[0, 0] == np.float32(0.25)
+        assert dlogit[1, 0] == np.float32(-0.25)
+        assert np.isclose(loss, 15.0, rtol=1e-6)
+        # a float32 sigmoid rounds to 1 at l = 30, so its backward through
+        # the BCE of the probability loses the gradient of a confident fake
+        y, cache = neural.Sigmoid().forward(logit)
+        dy = (y - target) / np.clip(y * (1 - y), 1e-12, None) / len(logit)
+        assert neural.Sigmoid().backward(cache, dy)[0][0, 0] == 0.0
+
+    @pytest.mark.parametrize("target", ["mixed", 1.0, 0.0])
+    def test_gradient_matches_finite_differences(self, target):
+        g = np.random.Generator(np.random.PCG64(8))
+        logit = 4.0 * g.standard_normal((6, 1))
+        if target == "mixed":
+            target = (g.uniform(size=(6, 1)) < 0.5).astype(np.float64)
+        _, dlogit = gan._bce_logits(logit, target)
+        h = 1e-6
+        for k in range(len(logit)):
+            step = np.zeros_like(logit)
+            step[k] = h
+            lp, _ = gan._bce_logits(logit + step, target)
+            lm, _ = gan._bce_logits(logit - step, target)
+            assert np.isclose((lp - lm) / (2 * h), dlogit[k, 0],
+                              rtol=1e-7, atol=1e-10)
+
+    @pytest.mark.parametrize("arch", ["dense", "conv"])
+    def test_stacked_pass_equals_separate_passes(self, arch):
+        config = GanConfig(dim=16, arch=arch, seed=6)
+        disc = gan.build(config).discriminator
+        disc.set_dtype(np.float64)
+        g = np.random.Generator(np.random.PCG64(9))
+        tri = np.tanh(g.standard_normal((2, 8, config.tri_len)))
+        hot = np.eye(3)[g.integers(0, 3, size=(2, 8))]
+        logit, cache = disc.forward(
+            gan._disc_input(config, np.concatenate(tri), np.concatenate(hot))
+        )
+        target = np.repeat([[1.0], [0.0]], 8, axis=0)
+        loss, dlogit = gan._bce_logits(logit, target)
+        _, grad = disc.backward(cache, dlogit)
+
+        losses, grads = [], []
+        for side, t in ((0, 1.0), (1, 0.0)):
+            y, c = disc.forward(gan._disc_input(config, tri[side], hot[side]))
+            side_loss, dy = gan._bce_logits(y, t)
+            losses.append(side_loss)
+            grads.append(disc.backward(c, dy / 2)[1])
+        assert np.isclose(loss, 0.5 * sum(losses), rtol=1e-14)
+        np.testing.assert_allclose(grad, grads[0] + grads[1], rtol=0,
+                                   atol=1e-12)
+        assert np.abs(grad).max() > 1e-3
+
+
 class TestTrain:
     def test_smoke_contract(self, trained):
         assert trained.trained
@@ -97,6 +158,10 @@ class TestTrain:
             assert validate(m).is_valid
             assert disp >= 0.0
 
+    def test_sample_rejects_empty_count(self, trained):
+        with pytest.raises(InvalidInput):
+            gan.sample(trained, RegimeLabel.NORMAL, 0)
+
     def test_sampling_deterministic(self, trained):
         a = gan.sample(trained, RegimeLabel.NORMAL, 2, seed=7)
         b = gan.sample(trained, RegimeLabel.NORMAL, 2, seed=7)
@@ -111,6 +176,22 @@ class TestTrain:
         ckpt = gan.build(GanConfig(dim=16, epochs=1, batch_size=8, seed=5))
         with pytest.raises(TypeError, match="bug in the optimizer"):
             gan.train(ckpt, small_corpus)
+
+    def test_sigmoid_discriminator_is_refused(self, small_corpus, tmp_path):
+        config = GanConfig(dim=16, epochs=1, batch_size=8, seed=5)
+        ckpt = gan.build(config)
+        disc = ckpt.discriminator
+        ckpt.discriminator = neural.Network(
+            disc.layers + [neural.Sigmoid()], disc.input_shape)
+        gan.save_checkpoint(ckpt, tmp_path / "ck")
+        old = gan.load_checkpoint(tmp_path / "ck")
+        assert old.discriminator.specs()[-1] == {"kind": "sigmoid"}
+        a = gan.sample(ckpt, RegimeLabel.RALLY, 2, seed=3)
+        b = gan.sample(old, RegimeLabel.RALLY, 2, seed=3)
+        for x, y in zip(a.matrices, b.matrices):
+            assert np.array_equal(x, y)
+        with pytest.raises(ConfigError, match="dense logit layer"):
+            gan.train(old, small_corpus)
 
     def test_nan_gradient_is_divergence(self, small_corpus):
         ckpt = gan.build(GanConfig(dim=16, epochs=1, batch_size=8, seed=5))

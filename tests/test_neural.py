@@ -155,6 +155,23 @@ class TestSerialization:
         assert meta["seed"] == 42
         assert back.weight_bytes() == net.weight_bytes()
 
+    @pytest.mark.parametrize("edit", [
+        lambda b: b[:-4], lambda b: b + b"\0" * 4,
+    ], ids=["short", "long"])
+    def test_wrong_size_blob_leaves_network_unchanged(self, edit):
+        def net(seed):
+            return neural.Network(
+                [neural.Dense(3, 4, g64(seed)), neural.Tanh(),
+                 neural.Dense(4, 2, g64(seed + 1))],
+                (3,),
+            )
+
+        target = net(30)
+        before = target.weight_bytes()
+        with pytest.raises(CorruptData, match="size mismatch"):
+            target.load_weight_bytes(edit(net(40).weight_bytes()))
+        assert target.weight_bytes() == before
+
     def test_corrupted_weights(self, tmp_path):
         net = neural.Network([neural.Dense(3, 3, g64(7))], (3,))
         neural.save_network(net, tmp_path / "n")
@@ -165,7 +182,52 @@ class TestSerialization:
             neural.load_network(tmp_path / "n")
 
 
+def reference_adam_step(params, m, v, grad, t, lr, b1=0.9, b2=0.999,
+                        eps=1e-8):
+    """One bias-corrected Adam step, one parameter array at a time, with
+    ``grad`` split in NNCK order; the arrays in ``params`` are updated in
+    place and ``m``/``v`` are lists of per-parameter moments."""
+    offset = 0
+    for k, p in enumerate(params):
+        g = grad[offset:offset + p.size].reshape(p.shape)
+        offset += p.size
+        m[k] = b1 * m[k] + (1 - b1) * g
+        v[k] = b2 * v[k] + (1 - b2) * g * g
+        mhat = m[k] / (1 - b1 ** t)
+        vhat = v[k] / (1 - b2 ** t)
+        p[...] = (p - lr * mhat / (np.sqrt(vhat) + eps)).astype(p.dtype)
+
+
 class TestAdam:
+    def test_matches_per_parameter_reference(self):
+        def net():
+            return neural.Network(
+                [neural.Dense(5, 16, g64(50)), neural.Tanh(),
+                 neural.Dense(16, 3, g64(51))],
+                (5,),
+            )
+
+        ours, ref = net(), net()
+        opt = neural.Adam(ours, lr=1e-2, beta1=0.5)
+        params = [p for layer in ref.layers
+                  for _, p in sorted(layer.params().items())]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        x = g64(52).standard_normal((16, 5)).astype(np.float32)
+        t = g64(53).standard_normal((16, 3)).astype(np.float32)
+        for step in range(1, 51):
+            for n in (ours, ref):
+                y, caches = n.forward(x)
+                _, grad = n.backward(caches, (y - t) / len(x))
+                if n is ours:
+                    opt.step(grad)
+                else:
+                    reference_adam_step(params, m, v, grad, step, lr=1e-2,
+                                        b1=0.5)
+            assert ours.theta.tobytes() == ref.theta.tobytes(), step
+        assert ours.theta.dtype == np.float32
+        assert ours.theta.tobytes() != net().theta.tobytes()
+
     def test_decreases_regression_loss(self):
         net = neural.Network(
             [neural.Dense(3, 8, g64(8)), neural.Tanh(),
