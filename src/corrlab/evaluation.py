@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import neural, rng
 from .corpus import LabeledCorpus
@@ -129,6 +128,10 @@ def wasserstein2(a, b, n_slices: int = 100, seed: int = 0) -> W2Result:
     pb = subsample_to(pb, n)
 
     if n <= EXACT_LIMIT:
+        # imported on first use: scipy.optimize is slow to load, and only
+        # the exact assignment needs it
+        from scipy.optimize import linear_sum_assignment
+
         diff = pa[:, None, :] - pb[None, :, :]
         cost = np.sum(diff * diff, axis=2)
         rows, cols = linear_sum_assignment(cost)

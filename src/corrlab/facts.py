@@ -15,10 +15,10 @@ The distance transform throughout is d_ij = sqrt(2 (1 - rho_ij)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.cluster.hierarchy import cophenet, linkage
-from scipy.spatial.distance import squareform
 
 from .core import symmetrize
 from .exceptions import DegenerateStructure, InvalidInput
@@ -67,6 +67,15 @@ def corr_distance(c: np.ndarray) -> np.ndarray:
     return d
 
 
+@lru_cache(maxsize=None)
+def _upper(n: int):
+    """Row-major indices (i, j) of the strict upper triangle, i < j
+    (read-only: every caller shares them)."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def mst(c) -> list[tuple[int, int]]:
     """Minimum spanning tree on d = sqrt(2(1-rho)) by Kruskal.
 
@@ -75,9 +84,9 @@ def mst(c) -> list[tuple[int, int]]:
     c = symmetrize(c)
     n = c.shape[0]
     d = corr_distance(c)
-    edges = sorted(
-        ((d[i, j], i, j) for i in range(n) for j in range(i + 1, n))
-    )
+    iu, ju = _upper(n)
+    rank = np.lexsort((ju, iu, d[iu, ju]))
+    edges = zip(iu[rank].tolist(), ju[rank].tolist())
     parent = list(range(n))
 
     def find(x):
@@ -87,7 +96,7 @@ def mst(c) -> list[tuple[int, int]]:
         return x
 
     tree = []
-    for w, i, j in edges:
+    for i, j in edges:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
@@ -125,16 +134,118 @@ def degree_tail_exponent(degrees: np.ndarray) -> float:
     return float(-slope)
 
 
-def _linkage(c: np.ndarray):
-    d = corr_distance(c)
-    return linkage(squareform(d, checks=False), method="average")
+class Linkage(NamedTuple):
+    """Average-linkage tree on n leaves, in scipy's layout.
+
+    Row k of ``z`` merges ids ``z[k, 0] < z[k, 1]`` at height ``z[k, 2]``
+    into node ``n + k`` of ``z[k, 3]`` leaves; ids below n are leaves.
+    ``order`` lists the leaves with the smaller id's subtree first at
+    every node, as ``to_tree(z).pre_order()`` does, so node j's members
+    are ``order[start[j]:start[j] + size[j]]``.
+    """
+
+    z: np.ndarray
+    order: list[int]
+    start: list[int]
+    size: list[int]
+
+
+def average_linkage(d: np.ndarray) -> Linkage:
+    """UPGMA on a symmetric distance matrix by the nearest-neighbour chain.
+
+    Follows scipy's ``nn_chain`` step for step, so ``z`` equals
+    ``linkage(squareform(d), "average")`` bit for bit, ties included.  A
+    chain starts at the lowest live slot.  Its tip x grows the chain by
+    the first nearest neighbour y, unless D[x, y] is not strictly below
+    the distance to the previous element p; then x and p merge.  The
+    merged row (n_x D[x] + n_y D[y]) / (n_x + n_y) takes the larger slot
+    and the smaller dies.  The merges are stable-sorted by height and
+    relabelled by union-find, each as (smaller root, larger root).
+    """
+    n = d.shape[0]
+    rows = d.tolist()
+    for i, row in enumerate(rows):
+        row[i] = np.inf
+    live = list(range(n))
+    size = [1.0] * n  # exact, as scipy's int-to-double sizes are
+    merges = []
+    chain = []
+    for _ in range(n - 1):
+        if not chain:
+            chain.append(live[0])
+        while True:
+            x = chain[-1]
+            row = rows[x]
+            h = min(row)
+            y = row.index(h)
+            if len(chain) > 1 and not h < row[chain[-2]]:
+                y = chain[-2]  # as near as the minimum: h is its distance
+                break
+            chain.append(y)
+        del chain[-2:]
+        x, y = min(x, y), max(x, y)
+        nx, ny = size[x], size[y]
+        merges.append((h, x, y))
+        live.remove(x)
+        size[y] = nx + ny
+        # dead slots hold inf, so the merged row is inf at x, y and dead slots
+        merged = [(nx * a + ny * b) / (nx + ny)
+                  for a, b in zip(rows[x], rows[y])]
+        rows[y] = merged
+        for i in live:
+            rows[i][y] = merged[i]
+            rows[i][x] = np.inf
+
+    merges.sort(key=lambda m: m[0])
+    parent = list(range(2 * n - 1))
+    size = [1] * n + [0] * (n - 1)
+    z = []
+    for k, (h, x, y) in enumerate(merges):
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        x, y = min(x, y), max(x, y)
+        parent[x] = parent[y] = n + k
+        size[n + k] = size[x] + size[y]
+        z.append((x, y, h, size[n + k]))
+
+    start = [0] * (2 * n - 1)
+    for k in range(n - 2, -1, -1):
+        a, b = z[k][:2]
+        start[a] = start[n + k]
+        start[b] = start[n + k] + size[a]
+    order = [0] * n
+    for leaf in range(n):
+        order[start[leaf]] = leaf
+    return Linkage(np.array(z, dtype=float).reshape(-1, 4), order, start, size)
 
 
 def cophenetic_coeff(c: np.ndarray) -> float:
+    """Correlation of the distances with the average-linkage tree's
+    cophenetic distances, summed as scipy's ``cophenet`` sums it.
+
+    NaN, with no warning, where that quotient is 0/0 (a single pair).
+    """
     d = corr_distance(c)
-    z = _linkage(c)
-    coph, _ = cophenet(z, squareform(d, checks=False))
-    return float(coph)
+    tree = average_linkage(d)
+    n = d.shape[0]
+    # cophenetic distances between leaf positions in ``tree.order``: every
+    # node joins its left block of positions to its right block
+    coph = np.zeros((n, n))
+    for k, (a, _, h, m) in enumerate(tree.z.tolist()):
+        s = tree.start[n + k]
+        mid = s + tree.size[int(a)]
+        coph[s:mid, mid:s + int(m)] = h
+    coph += coph.T
+    iu, ju = _upper(n)
+    pos = np.array(tree.start[:n])
+    y = d[iu, ju]
+    zz = coph[pos[iu], pos[ju]]
+    yy = y - y.mean()
+    zc = zz - zz.mean()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.sum(yy * zc) / np.sqrt(np.sum(yy**2) * np.sum(zc**2)))
 
 
 def _skew(x: np.ndarray) -> float:
@@ -148,8 +259,15 @@ def _skew(x: np.ndarray) -> float:
     return float(np.mean(dev ** 2 * dev) / m2 ** 1.5)
 
 
-def stylized_report(c, q_ratio: float = DEFAULT_Q_RATIO) -> StylizedFactReport:
+def _finite_symmetric(c) -> np.ndarray:
     c = symmetrize(c)
+    if not np.all(np.isfinite(c)):
+        raise InvalidInput("matrix has non-finite entries")
+    return c
+
+
+def stylized_report(c, q_ratio: float = DEFAULT_Q_RATIO) -> StylizedFactReport:
+    c = _finite_symmetric(c)
     n = c.shape[0]
     off = c[~np.eye(n, dtype=bool)]
     sf1_mean = float(off.mean())
@@ -285,7 +403,7 @@ class FeatureVector:
 
 def feature_vector(c) -> FeatureVector:
     """Fixed-order feature summary of the correlation structure."""
-    c = symmetrize(c)
+    c = _finite_symmetric(c)
     n = c.shape[0]
     if n < 4:
         raise InvalidInput("feature_vector requires dim >= 4")

@@ -13,13 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage, to_tree
-from scipy.spatial.distance import squareform
 
 from . import rng
 from .core import cholesky, symmetrize
 from .exceptions import InvalidInput, NotPositiveDefinite
-from .facts import corr_distance
+from .facts import average_linkage, corr_distance
 
 ANNUALIZATION = np.sqrt(252.0)
 
@@ -66,9 +64,7 @@ def _cluster_var(sub: np.ndarray) -> float:
 
 def quasi_diag_order(corr: np.ndarray) -> list[int]:
     """Leaf order of the average-linkage tree on sqrt(2(1-rho))."""
-    d = corr_distance(corr)
-    z = linkage(squareform(d, checks=False), method="average")
-    return to_tree(z, rd=False).pre_order()
+    return average_linkage(corr_distance(corr)).order
 
 
 def hrp_weights(cov) -> np.ndarray:
@@ -104,12 +100,15 @@ def hrp_weights(cov) -> np.ndarray:
 
 
 def weights_for(method: str, cov) -> np.ndarray:
+    cov = np.asarray(cov, dtype=float)
+    if not np.all(np.isfinite(cov)):
+        raise InvalidInput("covariance has non-finite entries")
     if method == "hrp":
         return hrp_weights(cov)
     if method == "ivp":
         return ivp_weights(cov)
     if method == "ew":
-        return ew_weights(np.asarray(cov).shape[0])
+        return ew_weights(cov.shape[0])
     raise InvalidInput(f"unknown method {method!r}")
 
 

@@ -166,6 +166,34 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        lambda p: ["metrics", "--in", str(p), "--report",
+                   str(p.parent / "rep.json")],
+        lambda p: ["portfolio", "weights", "--method", "hrp", "--cov", str(p)],
+    ], ids=["metrics", "portfolio-hrp"])
+    def test_non_finite_matrix(self, tmp_path, capsys, argv, bad):
+        p = tmp_path / "m.csv"
+        p.write_text(f"1,0.2,0.1,0.3\n0.2,1,{bad},0.1\n"
+                     f"0.1,{bad},1,0.2\n0.3,0.1,0.2,1\n")
+        assert cli.main(argv(p)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "rep.json").exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy is loaded on first use only (the exact W2 assignment), so the
+    # CLI starts without paying for it
+    code = ("import sys, corrlab.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, check=True)
+    assert r.stdout.strip() == "[]"
+
+
 class TestSampleAndInspect:
     def test_sample_writes_container(self, tmp_path):
         out = tmp_path / "c"

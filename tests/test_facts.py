@@ -1,13 +1,21 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.cluster.hierarchy import cophenet, linkage, to_tree
+from scipy.spatial.distance import squareform
 
-from corrlab import facts
+from corrlab import facts, portfolio
 from corrlab.exceptions import DegenerateStructure, InvalidInput
 from corrlab.facts import FEATURE_NAMES, FeatureVector
-from corrlab.samplers import RegimeLabel, sample_one_factor, sample_regime
+from corrlab.samplers import (
+    RegimeLabel,
+    sample_one_factor,
+    sample_onion,
+    sample_regime,
+)
 
 
 def block_matrix(dim=10, within=0.8, between=0.1):
@@ -17,6 +25,48 @@ def block_matrix(dim=10, within=0.8, between=0.1):
     c[half:, half:] = within
     np.fill_diagonal(c, 1.0)
     return c
+
+
+def equal_blocks(blocks, size, within=0.6, between=0.1):
+    """``blocks`` equal blocks of ``size``: every distance ties with many."""
+    n = blocks * size
+    c = np.full((n, n), between)
+    for b in range(blocks):
+        c[b * size:(b + 1) * size, b * size:(b + 1) * size] = within
+    np.fill_diagonal(c, 1.0)
+    return c
+
+
+def scipy_tree(d):
+    """scipy's average linkage, its nodes' leaves in pre-order and the
+    cophenetic coefficient: the oracle for facts.average_linkage."""
+    y = squareform(d, checks=False)
+    z = linkage(y, method="average")
+    _, nodes = to_tree(z, rd=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 reads NaN
+        coeff, _ = cophenet(z, y)
+    return z, [node.pre_order() for node in nodes], float(coeff)
+
+
+def mst_reference(c):
+    """Kruskal over a Python sort of (d_ij, i, j): the reference for mst."""
+    n = c.shape[0]
+    d = facts.corr_distance(c)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    tree = []
+    edges = sorted((d[i, j], i, j) for i, j in combinations(range(n), 2))
+    for _, i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            tree.append((i, j))
+    return tree
 
 
 def kmedoids_reference(d, k, max_iter=100):
@@ -139,6 +189,64 @@ class TestMst:
         deg = facts.mst_degrees([(0, 1), (0, 2), (0, 3)], 4)
         assert list(deg) == [3, 1, 1, 1]
 
+    @pytest.mark.parametrize("dim", [4, 8, 16, 24, 40])
+    def test_matches_sorted_kruskal(self, dim):
+        for regime in RegimeLabel:
+            for stream in range(8):
+                c = sample_regime(regime, dim, seed=11, stream=stream)
+                assert facts.mst(c) == mst_reference(c)
+        c = np.full((dim, dim), 0.3)
+        np.fill_diagonal(c, 1.0)
+        assert facts.mst(c) == mst_reference(c)
+
+
+class TestAverageLinkage:
+    """scipy, loaded only here, is the oracle: the merge rows, every
+    node's leaves and the cophenetic coefficient must equal its own, bit
+    for bit, and HRP's order is the root's leaves."""
+
+    def assert_matches_scipy(self, c):
+        d = facts.corr_distance(c)
+        z, leaves, coeff = scipy_tree(d)
+        tree = facts.average_linkage(d)
+        np.testing.assert_array_equal(tree.z, z)
+        for j, members in enumerate(leaves):
+            start = tree.start[j]
+            assert tree.order[start:start + tree.size[j]] == members
+        assert tree.order == leaves[-1]
+        assert portfolio.quasi_diag_order(c) == leaves[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = facts.cophenetic_coeff(c)
+        assert got == coeff or (np.isnan(got) and np.isnan(coeff))
+
+    @pytest.mark.parametrize("dim", [4, 5, 6, 8, 12, 16, 24, 32, 48, 80])
+    def test_regime_draws(self, dim):
+        for regime in RegimeLabel:
+            for stream in range(10):
+                self.assert_matches_scipy(
+                    sample_regime(regime, dim, seed=dim, stream=stream))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_small_dims(self, dim):
+        for stream in range(10):
+            self.assert_matches_scipy(sample_onion(dim, 1.0, 5, stream=stream))
+
+    @pytest.mark.parametrize("blocks", range(2, 10))
+    def test_tied_blocks(self, blocks):
+        for size in (1, 2, 3, 5):
+            self.assert_matches_scipy(equal_blocks(blocks, size))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_identity(self, dim):
+        self.assert_matches_scipy(np.eye(dim))
+
+    def test_single_pair_reads_nan(self):
+        # one distance, so both centred sets are zero: 0/0, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(facts.cophenetic_coeff(np.eye(2)))
+
 
 def test_degree_tail_exponent_recovers_power_law():
     # construct a degree sample following p(k) ~ k^-2 over k = 2..6
@@ -180,6 +288,13 @@ class TestStylizedReport:
         r = facts.stylized_report(np.eye(8), q_ratio=0.3)
         lo, hi = r.sf2_mp_bounds
         assert lo <= hi
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        c = np.eye(6)
+        c[1, 2] = c[2, 1] = bad
+        with pytest.raises(InvalidInput):
+            facts.stylized_report(c)
 
     @pytest.mark.parametrize("regime", list(RegimeLabel))
     def test_skew_matches_scipy(self, regime):
@@ -264,6 +379,13 @@ class TestFeatureVector:
     def test_rejects_small_dim(self):
         with pytest.raises(InvalidInput):
             facts.feature_vector(np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        c = sample_regime(RegimeLabel.NORMAL, 8, seed=0, stream=0)
+        c[0, 3] = c[3, 0] = bad
+        with pytest.raises(InvalidInput):
+            facts.feature_vector(c)
 
     def test_heterogeneous_beta_has_positive_dispersion(self):
         c = sample_one_factor(12, (0.2, 0.9), seed=5)

@@ -94,6 +94,14 @@ class TestWeights:
         with pytest.raises(InvalidInput):
             portfolio.weights_for("markowitz", cov)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("method", portfolio.METHODS)
+    def test_weights_for_rejects_non_finite(self, method, bad):
+        cov = rand_cov(6, 0)
+        cov[1, 4] = cov[4, 1] = bad
+        with pytest.raises(InvalidInput):
+            portfolio.weights_for(method, cov)
+
 
 class TestSimulation:
     def test_sample_covariance_converges(self):
