@@ -10,7 +10,7 @@ allocation (:mod:`corrlab.portfolio`) and the Monte Carlo harness
 (:mod:`corrlab.mc`).
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .core import (  # noqa: F401
     cholesky,

@@ -576,7 +576,9 @@ def build_parser():
     s = sub.add_parser("project", help="nearest correlation matrix")
     s.add_argument("--in", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--tol", type=float, default=1e-8)
+    s.add_argument("--tol", type=float, default=1e-8,
+                   help="bound on the dual residual ||diag(X) - 1||_2 / "
+                        "sqrt(n) that certifies the result (finite, > 0)")
     s.set_defaults(func=cmd_project)
 
     s = sub.add_parser("metrics", help="stylized-fact report")

@@ -67,6 +67,17 @@ class TestExitCodes:
         assert r.returncode == 3
         assert r.stderr.startswith("error: data:")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_project_bad_tol(self, tmp_path, tol):
+        p = tmp_path / "m.csv"
+        write_matrix(p, np.eye(3))
+        out = tmp_path / "o.csv"
+        r = run_cli("project", "--in", str(p), "--out", str(out),
+                    "--tol", tol)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: invalid: tol")
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", [
         lambda c: c.pop("mc"),
         lambda c: c["corpus"].pop("dim"),

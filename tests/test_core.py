@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from corrlab import core
+from corrlab import core, rng, samplers
 from corrlab.core import Violation
-from corrlab.exceptions import InvalidInput, NotPositiveDefinite
+from corrlab.exceptions import (
+    ConvergenceFailure,
+    InvalidInput,
+    NotPositiveDefinite,
+)
+from test_acceptance import _oracle_nearest
 
 
 def rand_corr(dim, seed):
@@ -12,6 +17,18 @@ def rand_corr(dim, seed):
     c = np.corrcoef(a)
     np.fill_diagonal(c, 1.0)
     return c
+
+
+def noisy_regime(dim, seed, stream):
+    """A regime draw plus symmetric N(0, 0.1) noise, clipped to [-1, 1]
+    with a unit diagonal: an indefinite estimate, like a hand-edited or
+    pairwise-estimated matrix."""
+    regime = list(samplers.RegimeLabel)[stream % 3]
+    c = samplers.sample_regime(regime, dim, seed=seed, stream=stream)
+    e = rng.generator(seed, 1_000_000 + stream).normal(0.0, 0.1, c.shape)
+    m = np.clip(c + (e + e.T) / np.sqrt(2.0), -1.0, 1.0)
+    np.fill_diagonal(m, 1.0)
+    return m
 
 
 class TestValidate:
@@ -118,5 +135,64 @@ class TestNearestCorrelation:
             core.nearest_correlation(m)
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(InvalidInput):
-            core.nearest_correlation(np.eye(3), tol=0.0)
+        for tol in (0.0, -1e-8, np.nan, np.inf):
+            with pytest.raises(InvalidInput):
+                core.nearest_correlation(np.eye(3), tol=tol)
+
+    def test_rejects_bad_max_iter(self):
+        for max_iter in (0, -1):
+            with pytest.raises(InvalidInput):
+                core.nearest_correlation(np.eye(3), max_iter=max_iter)
+
+    def test_dim80_matches_oracle_in_few_certified_steps(self):
+        for stream in range(24):
+            m = noisy_regime(80, 2718, stream)
+            assert np.linalg.eigvalsh(m)[0] < -0.1
+            out, residuals = core.nearest_correlation(m, return_info=True)
+            assert core.validate(out).is_valid
+            assert residuals[-1] <= core.DEFAULT_TOL
+            # second-order steps: a first-order fallback needs dozens
+            assert len(residuals) <= 10
+            oracle = _oracle_nearest(m)
+            assert np.linalg.norm(out - oracle, ord="fro") < 1e-6
+
+    def test_budget_exhausted_carries_last_iterate(self):
+        m = rand_corr(10, 2)
+        m[0, 1] = m[1, 0] = 1.2
+        _, residuals = core.nearest_correlation(m, return_info=True)
+        steps = len(residuals) - 1  # max_iter counts Newton steps
+        assert steps >= 2
+        core.nearest_correlation(m, max_iter=steps)
+        for max_iter in range(1, steps):
+            with pytest.raises(ConvergenceFailure) as info:
+                core.nearest_correlation(m, max_iter=max_iter)
+            exc = info.value
+            assert exc.residual == residuals[max_iter] > core.DEFAULT_TOL
+            assert exc.last_iterate.shape == (10, 10)
+            assert np.linalg.eigvalsh(exc.last_iterate)[0] >= -1e-12
+
+    def test_far_inputs_converge_in_few_steps(self):
+        # entries ~50 and a non-unit diagonal: full Newton steps overshoot
+        # here, and without the line search the count doubles
+        g = np.random.Generator(np.random.PCG64(9))
+        for _ in range(20):
+            m = 50.0 * g.standard_normal((16, 16))
+            out, residuals = core.nearest_correlation(m + m.T,
+                                                      return_info=True)
+            assert core.validate(out).is_valid
+            assert residuals[-1] <= core.DEFAULT_TOL
+            assert len(residuals) <= 15
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 20, 40])
+    def test_tied_eigenvalues(self, dim):
+        # 2I - J has eigenvalues {2 - dim, 2, ..., 2}; equal blocks repeat
+        # eigenvalues across blocks of equal size, both signs included
+        labels = np.arange(dim) % 3
+        block = np.where(labels[:, None] == labels[None, :], 0.9, -0.6)
+        np.fill_diagonal(block, 1.0)
+        for m in (2.0 * np.eye(dim) - np.ones((dim, dim)), block):
+            out, residuals = core.nearest_correlation(m, return_info=True)
+            assert core.validate(out).is_valid
+            assert residuals[-1] <= core.DEFAULT_TOL
+            oracle = _oracle_nearest(m)
+            assert np.linalg.norm(out - oracle, ord="fro") < 1e-6

@@ -9,6 +9,7 @@ from corrlab.core import nearest_correlation, validate
 from corrlab.geometry import MeanMethod
 
 dims = st.integers(min_value=2, max_value=10)
+projection_dims = st.integers(min_value=2, max_value=40)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -33,7 +34,7 @@ def test_airm_symmetric_and_congruence_invariant(dim, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(dims, seeds)
+@given(projection_dims, seeds)
 def test_nearest_correlation_valid_and_idempotent(dim, seed):
     g = np.random.Generator(np.random.PCG64(seed))
     m = g.uniform(-1.0, 1.0, (dim, dim))
