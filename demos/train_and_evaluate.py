@@ -36,7 +36,8 @@ for regime in REGIMES:
           f"{real:.3f}   mean projection displacement {disp:.4f}")
 
 synth = corpus.LabeledCorpus(16, items, corpus.CorpusSource.SURROGATE)
-fid = evaluation.classifier_fidelity(corp, synth, seed=3)
+fid = evaluation.classifier_fidelity(evaluation.corpus_features(corp),
+                                     evaluation.corpus_features(synth), seed=3)
 print(f"\nConditioning fidelity: a feature classifier trained on the real "
       f"corpus labels\nsynthetic samples with accuracy {fid.accuracy:.3f} "
       f"(real holdout {fid.real_holdout_accuracy:.3f}).")

@@ -57,6 +57,7 @@ from .exceptions import (
 )
 from .facts import FEATURE_NAMES, stylized_report
 from .samplers import (
+    REGIMES,
     RegimeLabel,
     sample_cvine,
     sample_one_factor,
@@ -269,7 +270,7 @@ def _gan_config(cfg, what="gan config"):
     _check_section(cfg, _GAN_INTS, what)
     try:
         return gan.GanConfig.from_dict(cfg)
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{what}: {exc}") from None
 
 
@@ -323,20 +324,25 @@ def _evaluate(real_dir, synth_dir, seed, report, prov, clouds_prefix=None):
     real_cloud, r1, r2, r3, sy = evaluation.pca_project(
         real_mats, *real_sets, synth_mats)
     ds = evaluation.distance_stats([r1, r2, r3], [sy])
-    fid = evaluation.classifier_fidelity(real, synth, seed=seed)
+    # one feature pass per matrix serves the classifier and the per-regime
+    # facts: mean_corr is SF1's mean and eig1_share SF2's share
+    sides = {"real": evaluation.corpus_features(real),
+             "synth": evaluation.corpus_features(synth)}
+    fid = evaluation.classifier_fidelity(sides["real"], sides["synth"],
+                                         seed=seed)
     if clouds_prefix is not None:
         _write_matrix_csv(f"{clouds_prefix}_real_cloud.csv", real_cloud.points)
         _write_matrix_csv(f"{clouds_prefix}_synth_cloud.csv", sy.points)
+    sf1 = FEATURE_NAMES.index("mean_corr")
+    sf2 = FEATURE_NAMES.index("eig1_share")
     per_fact = {}
-    for regime in gan.REGIMES:
-        sides = {"real": real.matrices(regime), "synth": synth.matrices(regime)}
-        if not all(sides.values()):
+    for k, regime in enumerate(REGIMES):
+        if not all(np.any(y == k) for _, y in sides.values()):
             continue
         means = per_fact[regime.value] = {}
-        for side, mats in sides.items():
-            facts = [stylized_report(m) for m in mats]
-            means["sf1_" + side] = float(np.mean([f.sf1_mean_offdiag for f in facts]))
-            means["sf2_" + side] = float(np.mean([f.sf2_top_eig_share for f in facts]))
+        for side, (x, y) in sides.items():
+            means["sf1_" + side] = float(np.mean(x[y == k, sf1]))
+            means["sf2_" + side] = float(np.mean(x[y == k, sf2]))
     _write_json(report, {
         "distance_stats": {
             "mu_e": ds.mu_e, "sigma_e": ds.sigma_e,
@@ -513,7 +519,7 @@ def cmd_repro(args):
     gen_prov = stage(gen_cfg, train_prov["config_sha256"])
     if fresh(synth_dir / "provenance.json", gen_prov,
              synth_dir / "manifest.json", synth_dir / "matrices.f64le"):
-        _generate(ckpt_dir, gan.REGIMES, gen_cfg["count_per_regime"],
+        _generate(ckpt_dir, REGIMES, gen_cfg["count_per_regime"],
                   gen_cfg["seed"], synth_dir)
         _write_json(synth_dir / "provenance.json", gen_prov)
 

@@ -64,8 +64,8 @@ def validate(m, tol: float = DEFAULT_TOL) -> ValidationReport:
     a = as_symmetric(m)
     if not np.all(np.isfinite(a)):
         raise InvalidInput("matrix has non-finite entries")
-    if tol <= 0:
-        raise InvalidInput("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidInput("tol must be positive and finite")
 
     failures = []
     if not np.array_equal(a, a.T):

@@ -31,11 +31,7 @@ from .exceptions import (
     ParseError,
     UnsupportedVersion,
 )
-from .samplers import (
-    DEFAULT_REGIME_PARAMS,
-    RegimeLabel,
-    sample_regime,
-)
+from .samplers import DEFAULT_REGIME_PARAMS, REGIMES, RegimeLabel, sample_regime
 
 ECORP_VERSION = 1
 
@@ -218,9 +214,7 @@ def build_surrogate(
         raise InvalidInput("count_per_regime must be >= 1")
     params = params or DEFAULT_REGIME_PARAMS
     items = []
-    for r, regime in enumerate(
-        (RegimeLabel.STRESSED, RegimeLabel.NORMAL, RegimeLabel.RALLY)
-    ):
+    for r, regime in enumerate(REGIMES):
         for i in range(count_per_regime):
             m = sample_regime(
                 regime, dim, params[regime], seed=seed,

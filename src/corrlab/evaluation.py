@@ -15,7 +15,7 @@ synthetic samples against their conditioning labels.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -23,8 +23,9 @@ import numpy as np
 from . import neural, rng
 from .corpus import LabeledCorpus
 from .exceptions import DegenerateBasis, InvalidInput
-from .facts import FEATURE_NAMES, feature_vector
-from .gan import REGIMES, tri_from_matrix
+from .facts import feature_vector
+from .gan import tri_from_matrix
+from .samplers import REGIMES
 
 EXACT_LIMIT = 512
 
@@ -62,7 +63,8 @@ def pca_project(reference, *others):
     """Fit a 2-D basis on the reference set; project every set in it.
 
     The synthetic sets never influence the basis.  Returns one
-    :class:`PointCloud2D` per input set, reference first.
+    :class:`PointCloud2D` per input set, reference first.  Every set must
+    share the reference's dimension (``InvalidInput`` otherwise).
     """
     if len(reference) == 0:
         raise InvalidInput("reference set is empty")
@@ -81,8 +83,10 @@ def pca_project(reference, *others):
             basis[r] = -basis[r]
     clouds = [PointCloud2D((xc @ basis.T), basis, mean)]
     for other in others:
-        xo = _vectorize(other) - mean
-        clouds.append(PointCloud2D(xo @ basis.T, basis, mean))
+        xo = _vectorize(other)
+        if xo.shape[1] != mean.size:
+            raise InvalidInput("sets must share the reference's dimension")
+        clouds.append(PointCloud2D((xo - mean) @ basis.T, basis, mean))
     return clouds
 
 
@@ -173,7 +177,10 @@ def distance_stats(real_sets, synth_sets) -> DistanceStats:
 # feature-based conditioning-fidelity classifier
 
 
-def _features_and_labels(corp: LabeledCorpus):
+def corpus_features(corp: LabeledCorpus):
+    """``(x, y)``: one :func:`feature_vector` row per matrix, in
+    ``FEATURE_NAMES`` order with NaN features zeroed, and each matrix's
+    index in ``REGIMES``."""
     x = np.stack([feature_vector(it.matrix).to_array() for it in corp.items])
     y = np.asarray([REGIMES.index(it.label) for it in corp.items])
     if not np.all(np.isfinite(x)):
@@ -199,12 +206,12 @@ def train_feature_classifier(
     net = neural.Network(
         [
             neural.Dense(x.shape[1], hidden, g), neural.Tanh(),
-            neural.Dense(hidden, 3, g),
+            neural.Dense(hidden, len(REGIMES), g),
         ],
         (x.shape[1],),
     )
     opt = neural.Adam(net, lr=lr)
-    t = np.eye(3, dtype=np.float32)[y]
+    t = np.eye(len(REGIMES), dtype=np.float32)[y]
     for _ in range(epochs):
         logits, caches = net.forward(xs)
         p = _softmax(logits.astype(np.float64))
@@ -222,21 +229,20 @@ def _predict(net, scaler, x):
 
 
 def classifier_fidelity(
-    train_corpus: LabeledCorpus,
-    synth_corpus: LabeledCorpus,
-    seed: int = 0,
-    holdout_frac: float = 0.2,
+    real, synth, seed: int = 0, holdout_frac: float = 0.2
 ) -> FidelityResult:
     """Confusion matrix of a feature-vector softmax classifier applied to
-    synthetic samples against their conditioning labels."""
-    if train_corpus.dim != synth_corpus.dim:
-        raise InvalidInput("corpora must share dim")
-    x, y = _features_and_labels(train_corpus)
-    xs_, ys_ = _features_and_labels(synth_corpus)
+    synthetic samples against their conditioning labels.
+
+    ``real`` and ``synth`` are :func:`corpus_features` pairs ``(x, y)``;
+    the classifier trains on ``real`` less a stratified holdout.
+    """
+    x, y = real
+    xs_, ys_ = synth
 
     # stratified deterministic holdout
     tr_idx, ho_idx = [], []
-    for cls in range(3):
+    for cls in range(len(REGIMES)):
         idx = np.flatnonzero(y == cls)
         g = rng.generator(seed, 100 + cls)
         idx = idx[g.permutation(len(idx))]
@@ -249,9 +255,8 @@ def classifier_fidelity(
     real_acc = float(np.mean(_predict(net, scaler, x[ho_idx]) == y[ho_idx]))
 
     pred = _predict(net, scaler, xs_)
-    confusion = np.zeros((3, 3), dtype=int)
-    for t_, p_ in zip(ys_, pred):
-        confusion[t_, p_] += 1
+    confusion = np.zeros((len(REGIMES), len(REGIMES)), dtype=int)
+    np.add.at(confusion, (ys_, pred), 1)
     acc = float(np.trace(confusion)) / max(len(ys_), 1)
     return FidelityResult(
         confusion=confusion,

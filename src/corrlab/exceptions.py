@@ -85,7 +85,3 @@ class RankDeficient(CorrlabError):
     def __init__(self, message, collinear=None):
         super().__init__(message)
         self.collinear = collinear or []
-
-
-class Unsupported(CorrlabError):
-    """Requested operation outside the supported envelope."""

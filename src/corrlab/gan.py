@@ -5,7 +5,9 @@ of a correlation matrix through a final Tanh, which guarantees symmetry,
 unit diagonal and entries in (-1, 1) by construction; positive
 semidefiniteness is restored after sampling by nearest-correlation
 projection.  The discriminator scores (lower triangle, one-hot regime)
-pairs and ends in a dense layer that emits a logit.
+pairs and ends in a dense layer that emits a logit.  The one-hot code has
+one slot per regime of ``samplers.REGIMES``, in that order; the regime
+count is fixed by that tuple, not configured.
 
 Training uses the non-saturating GAN loss with alternating updates and
 is fully deterministic under the configured seed.  The loss is binary
@@ -17,7 +19,7 @@ forward and one backward pass over the stacked [real; fake] batch.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,17 +29,18 @@ from .core import nearest_correlation
 from .corpus import LabeledCorpus
 from .exceptions import (ConfigError, InvalidInput, NumericalFailure,
                          TrainingDiverged)
-from .samplers import RegimeLabel
+from .samplers import REGIMES, RegimeLabel
 
-REGIMES = (RegimeLabel.STRESSED, RegimeLabel.NORMAL, RegimeLabel.RALLY)
 _SUPPORTED_DIMS = (16, 32, 80)
+# row k is the one-hot code of REGIMES[k] (read-only: every caller shares it)
+_ONE_HOT = np.eye(len(REGIMES), dtype=np.float32)
+_ONE_HOT.flags.writeable = False
 
 
 @dataclass
 class GanConfig:
     dim: int = 16
     noise_dim: int = 64
-    regime_count: int = 3
     arch: str = "dense"
     epochs: int = 300
     batch_size: int = 32
@@ -59,16 +62,18 @@ class GanConfig:
         return self.dim * (self.dim - 1) // 2
 
     def to_dict(self):
-        return {
-            "dim": self.dim, "noise_dim": self.noise_dim,
-            "regime_count": self.regime_count, "arch": self.arch,
-            "epochs": self.epochs, "batch_size": self.batch_size,
-            "lr_g": self.lr_g, "lr_d": self.lr_d,
-            "d_steps_per_g": self.d_steps_per_g, "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
+        """Config from ``to_dict``'s keys.  A ``regime_count`` key, which
+        older configs and checkpoints hold, is dropped when it equals
+        ``len(REGIMES)`` and refused otherwise."""
+        d = dict(d)
+        count = d.pop("regime_count", len(REGIMES))
+        if type(count) is not int or count != len(REGIMES):
+            raise ConfigError(f"regime_count must be {len(REGIMES)}, one per "
+                              f"regime, not {count!r}")
         return cls(**d)
 
 
@@ -103,18 +108,17 @@ def matrix_from_tri(t: np.ndarray, dim: int) -> np.ndarray:
     return c
 
 
-def one_hot(regime: RegimeLabel, n: int = 3) -> np.ndarray:
-    v = np.zeros(n)
-    v[REGIMES.index(regime)] = 1.0
-    return v
+def one_hot(regime: RegimeLabel) -> np.ndarray:
+    """Read-only float32 one-hot code of ``regime``."""
+    return _ONE_HOT[REGIMES.index(regime)]
 
 
 def build(config: GanConfig) -> GanCheckpoint:
     """Untrained generator/discriminator pair for the given config."""
     g = np.random.Generator(np.random.PCG64(rng.mix(config.seed, 0)))
     tri = config.tri_len
-    zin = config.noise_dim + config.regime_count
-    din = tri + config.regime_count
+    zin = config.noise_dim + len(REGIMES)
+    din = tri + len(REGIMES)
 
     if config.arch == "dense":
         gen = neural.Network([
@@ -143,12 +147,12 @@ def build(config: GanConfig) -> GanCheckpoint:
             neural.Dense(d * d, tri, g), neural.Tanh(),
         ], (zin,))
         disc = neural.Network([
-            neural.Conv2D(1 + config.regime_count, ch // 2, 4, 2, 1, g),
+            neural.Conv2D(1 + len(REGIMES), ch // 2, 4, 2, 1, g),
             neural.LeakyReLU(0.2),
             neural.Conv2D(ch // 2, ch, 4, 2, 1, g), neural.LeakyReLU(0.2),
             neural.Flatten(),
             neural.Dense(ch * base * base, 1, g),
-        ], (1 + config.regime_count, d, d))
+        ], (1 + len(REGIMES), d, d))
     return GanCheckpoint(config, gen, disc)
 
 
@@ -159,7 +163,7 @@ def _disc_input(config, tri_batch, onehot_batch):
     n = tri_batch.shape[0]
     d = config.dim
     i, j = tri_indices(d)
-    img = np.zeros((n, 1 + config.regime_count, d, d), dtype=tri_batch.dtype)
+    img = np.zeros((n, 1 + len(REGIMES), d, d), dtype=tri_batch.dtype)
     img[:, 0][:, i, j] = tri_batch
     img[:, 0][:, j, i] = tri_batch
     img[:, 0, np.arange(d), np.arange(d)] = 1.0
@@ -170,7 +174,7 @@ def _disc_input(config, tri_batch, onehot_batch):
 def _disc_input_grad_tri(config, dinput):
     """Gradient of the triangle entries given the input gradient."""
     if config.arch == "dense":
-        return dinput[:, : -config.regime_count]
+        return dinput[:, : -len(REGIMES)]
     d = config.dim
     i, j = tri_indices(d)
     return dinput[:, 0][:, i, j] + dinput[:, 0][:, j, i]
@@ -196,7 +200,7 @@ def train(
         raise ConfigError(f"corpus dim {corp.dim} != config dim {config.dim}")
     present = set(corp.labels())
     if present != set(REGIMES):
-        raise ConfigError("corpus must contain all three regime labels")
+        raise ConfigError("corpus must contain every regime label")
     if not isinstance(ckpt.discriminator.layers[-1], neural.Dense):
         raise ConfigError("discriminator must end in a dense logit layer; a "
                           "sigmoid-ended checkpoint can only be sampled")
@@ -204,7 +208,7 @@ def train(
     tris = np.stack([tri_from_matrix(it.matrix) for it in corp.items]).astype(
         np.float32
     )
-    hots = np.stack([one_hot(it.label) for it in corp.items]).astype(np.float32)
+    hots = np.stack([one_hot(it.label) for it in corp.items])
     n = tris.shape[0]
     bs = min(config.batch_size, n)
     d_target = np.repeat(np.float32([[1.0], [0.0]]), bs, axis=0)
@@ -225,9 +229,7 @@ def train(
                 z = g_epoch.standard_normal((bs, config.noise_dim)).astype(
                     np.float32
                 )
-                fake_hot = np.eye(3, dtype=np.float32)[
-                    g_epoch.integers(0, 3, size=bs)
-                ]
+                fake_hot = _ONE_HOT[g_epoch.integers(0, len(REGIMES), size=bs)]
                 gin = np.concatenate([z, fake_hot], axis=1)
                 fake_tri, _ = ckpt.generator.forward(gin)
 
@@ -244,9 +246,7 @@ def train(
             z = g_epoch.standard_normal((bs, config.noise_dim)).astype(
                 np.float32
             )
-            fake_hot = np.eye(3, dtype=np.float32)[
-                g_epoch.integers(0, 3, size=bs)
-            ]
+            fake_hot = _ONE_HOT[g_epoch.integers(0, len(REGIMES), size=bs)]
             gin = np.concatenate([z, fake_hot], axis=1)
             fake_tri, cg = ckpt.generator.forward(gin)
             xf = _disc_input(config, fake_tri, fake_hot)
@@ -296,7 +296,7 @@ def _regime_sf1(ckpt, seed_offset=0, count=16):
 def _raw_tri(ckpt, regime, count, seed):
     g = np.random.Generator(np.random.PCG64(seed))
     z = g.standard_normal((count, ckpt.config.noise_dim)).astype(np.float32)
-    hot = np.tile(one_hot(regime).astype(np.float32), (count, 1))
+    hot = np.tile(one_hot(regime), (count, 1))
     gin = np.concatenate([z, hot], axis=1)
     t, _ = ckpt.generator.forward(gin)
     return t.astype(np.float64)

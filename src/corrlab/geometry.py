@@ -89,6 +89,8 @@ def geodesic(a, b, t: float) -> np.ndarray:
         raise InvalidInput(f"t must lie in [0, 1], got {t}")
     a = _check_pd(a, "A")
     b = _check_pd(b, "B")
+    if a.shape != b.shape:
+        raise InvalidInput("dimension mismatch")
     asq = spd_sqrt(a)
     ais = spd_inv_sqrt(a)
     mid = spd_power(symmetrize(ais @ b @ ais), t)
@@ -123,10 +125,6 @@ def karcher_mean(mats, tol: float = 1e-10, max_iter: int = 1000):
 
 def _frechet_objective(c, mats) -> float:
     return sum(airm_distance(c, m) ** 2 for m in mats)
-
-
-def _corr_2x2(rho: float) -> np.ndarray:
-    return np.array([[1.0, rho], [rho, 1.0]])
 
 
 def _whiten(c, targets, unit_diag):

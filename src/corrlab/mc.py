@@ -20,7 +20,7 @@ from . import rng
 from .exceptions import CorrlabError, InvalidInput, RankDeficient
 from .facts import FEATURE_NAMES, FeatureVector, feature_vector
 from .portfolio import METHODS, RiskReport, backtest_methods, default_vols
-from .samplers import RegimeLabel, sample_regime
+from .samplers import REGIMES, RegimeLabel, sample_regime
 
 RECORD_SCHEMA_VERSION = 1
 
@@ -86,9 +86,7 @@ class McConfig:
     t_in: int = 252
     t_out: int = 252
     seed: int = 0
-    regimes: tuple = (
-        RegimeLabel.STRESSED, RegimeLabel.NORMAL, RegimeLabel.RALLY
-    )
+    regimes: tuple = REGIMES
 
 
 def _simulate_one(generator_fn, regime, stream, config) -> McRecord:
@@ -106,7 +104,6 @@ def run(
     config: McConfig,
     generator_fn=None,
     threads: int = 1,
-    on_error="skip",
 ) -> list[McRecord]:
     """Run the full grid of simulations in the calling thread.
 
@@ -137,8 +134,6 @@ def run(
                     _simulate_one(generator_fn, regime, stream, config)
                 )
             except CorrlabError as exc:
-                if on_error == "raise":
-                    raise
                 skipped.append((stream, repr(exc)))
     for stream, reason in skipped:
         print(f"warning: simulation stream {stream} skipped: {reason}")
@@ -296,7 +291,7 @@ def bootstrap_ci(values, stat_fn=np.mean, n_boot=1000, alpha=0.05, seed=0):
 def regime_findings(records, n_boot: int = 1000, seed: int = 0) -> dict:
     """Per-regime HRP-vs-IVP comparison with bootstrap intervals."""
     out = {}
-    for regime in (RegimeLabel.STRESSED, RegimeLabel.NORMAL, RegimeLabel.RALLY):
+    for regime in REGIMES:
         rs = [r for r in records if r.regime is regime]
         if not rs:
             continue

@@ -426,9 +426,7 @@ class Network:
             kind = s.get("kind")
             if kind not in _LAYER_KINDS:
                 raise ConfigError(f"unknown layer kind {kind!r}")
-            layers.append(_LAYER_KINDS[kind](s, rng=rng, dtype=dtype)
-                          if kind in ("dense", "conv2d", "conv_transpose2d")
-                          else _LAYER_KINDS[kind](s))
+            layers.append(_LAYER_KINDS[kind](s, rng=rng, dtype=dtype))
         return cls(layers, input_shape)
 
 

@@ -36,6 +36,10 @@ class RegimeLabel(Enum):
     RALLY = "rally"
 
 
+# the regime set, in the order of every one-hot code, corpus and study
+REGIMES = tuple(RegimeLabel)
+
+
 @dataclass
 class RegimeParams:
     market_beta_range: tuple[float, float]

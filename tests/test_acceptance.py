@@ -96,7 +96,8 @@ def test_a2_geometry_exactness():
     g = np.random.Generator(np.random.PCG64(12))
     worse = 0
     for _ in range(100):
-        pair = [geometry._corr_2x2(r) for r in g.uniform(-0.95, 0.95, 2)]
+        pair = [np.array([[1.0, r], [r, 1.0]])
+                for r in g.uniform(-0.95, 0.95, 2)]
         o3 = geometry._frechet_objective(
             geometry.mean(MeanMethod.M3_NORMALIZED_BARYCENTER, pair).matrix,
             pair,
@@ -171,10 +172,12 @@ def test_a5_stylized_fact_fidelity(corpus900, synth_batches):
     for regime in REGIMES:
         real = corpus900.matrices(regime)
         synth = synth_batches[regime].matrices
-        sf1_r = np.mean([stylized_report(m).sf1_mean_offdiag for m in real])
-        sf1_s = np.mean([stylized_report(m).sf1_mean_offdiag for m in synth])
-        sf2_r = np.mean([stylized_report(m).sf2_top_eig_share for m in real])
-        sf2_s = np.mean([stylized_report(m).sf2_top_eig_share for m in synth])
+        facts_r = [stylized_report(m) for m in real]
+        facts_s = [stylized_report(m) for m in synth]
+        sf1_r = np.mean([f.sf1_mean_offdiag for f in facts_r])
+        sf1_s = np.mean([f.sf1_mean_offdiag for f in facts_s])
+        sf2_r = np.mean([f.sf2_top_eig_share for f in facts_r])
+        sf2_s = np.mean([f.sf2_top_eig_share for f in facts_s])
         assert abs(sf1_s - sf1_r) <= 0.05
         assert abs(sf2_s - sf2_r) / sf2_r <= 0.20
         lines.append(f"{regime.value} sf1 {sf1_s:.3f}/{sf1_r:.3f} "
@@ -189,7 +192,9 @@ def test_a6_conditioning_fidelity(corpus900, synth_batches):
         for m in synth_batches[regime].matrices[:100]
     ]
     synth = corpus.LabeledCorpus(16, items, corpus.CorpusSource.SURROGATE)
-    fid = evaluation.classifier_fidelity(corpus900, synth, seed=3)
+    fid = evaluation.classifier_fidelity(evaluation.corpus_features(corpus900),
+                                         evaluation.corpus_features(synth),
+                                         seed=3)
     assert fid.accuracy >= 0.60
     assert fid.real_holdout_accuracy >= 0.80
     print(f"A6 PASS: synthetic accuracy {fid.accuracy:.3f} >= 0.60, "

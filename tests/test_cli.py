@@ -2,13 +2,14 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from corrlab import cli, core, corpus, evaluation, gan, mc
-from corrlab.facts import FEATURE_NAMES, stylized_report
+from corrlab import cli, core, corpus, evaluation, facts, gan, mc
+from corrlab.facts import FEATURE_NAMES, feature_vector, stylized_report
 
 
 def run_cli(*args):
@@ -102,9 +103,10 @@ class TestExitCodes:
         lambda c: c["eval"].update(seed=None),
         lambda c: c["gan"].update(epochs=True),
         lambda c: c["gan"].update(learning_rate=0.1),
+        lambda c: c["gan"].update(regime_count=4),
     ], ids=["float-corpus-count", "string-generate-seed", "float-mc-dim",
             "string-mc-t-in", "null-eval-seed", "bool-gan-epochs",
-            "unknown-gan-key"])
+            "unknown-gan-key", "gan-regime-count-4"])
     def test_bad_repro_config(self, tmp_path, capsys, edit):
         cfg = json.loads(json.dumps(REPRO_CONFIG))
         edit(cfg)
@@ -123,14 +125,16 @@ class TestExitCodes:
         ("train", [16, 1]),
         ("train", {"dim": 16, "epochs": 1, "seed": "7"}),
         ("train", {"dim": 16.0, "epochs": 1}),
+        ("train", {"dim": 16, "epochs": 1, "regime_count": 4}),
         ("mc run", [2, 16]),
         ("mc run", {"count_per_regime": 2.5}),
         ("mc run", {"count_per_regime": 2, "dim": "16"}),
         ("mc run", {"count_per_regime": 2, "seed": 1.0}),
         ("mc run", {"count_per_regime": 2, "generator": "checkpoint"}),
     ], ids=["train-unknown-key", "train-not-object", "train-string-seed",
-            "train-float-dim", "mc-not-object", "mc-float-count",
-            "mc-string-dim", "mc-float-seed", "mc-no-checkpoint"])
+            "train-float-dim", "train-regime-count-4", "mc-not-object",
+            "mc-float-count", "mc-string-dim", "mc-float-seed",
+            "mc-no-checkpoint"])
     def test_bad_subcommand_config(self, tmp_path, capsys, command, config):
         corpus.write_corpus(corpus.build_surrogate(2, 16, seed=0),
                             tmp_path / "corpus")
@@ -193,6 +197,46 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        lambda d: ["geometry", "geodesic", "--a", str(d / "a.csv"),
+                   "--b", str(d / "b.csv"), "--t", "0.5",
+                   "--out", str(d / "out"), "--meta", str(d / "meta.json")],
+        lambda d: ["evaluate", "--real", str(d / "real"),
+                   "--synth", str(d / "synth"), "--report", str(d / "out")],
+    ], ids=["geodesic", "evaluate"])
+    def test_mismatched_dims(self, tmp_path, capsys, argv):
+        write_matrix(tmp_path / "a.csv", np.eye(2))
+        write_matrix(tmp_path / "b.csv", np.eye(3))
+        corpus.write_corpus(corpus.build_surrogate(2, 16, seed=1),
+                            tmp_path / "real")
+        corpus.write_corpus(corpus.build_surrogate(2, 8, seed=1),
+                            tmp_path / "synth")
+        assert cli.main(argv(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid:")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.csv", "b.csv", "real", "synth"]
+
+    @pytest.mark.parametrize("count, code", [(3, 0), (4, 2)])
+    def test_checkpoint_regime_count(self, tmp_path, capsys, count, code):
+        # checkpoints saved before GanConfig dropped regime_count hold it
+        ckpt = tmp_path / "ckpt"
+        gan.save_checkpoint(gan.build(gan.GanConfig()), ckpt)
+        meta = json.loads((ckpt / "gan.json").read_text())
+        meta["config"]["regime_count"] = count
+        (ckpt / "gan.json").write_text(json.dumps(meta))
+        out = tmp_path / "out"
+        assert cli.main(["generate", "--ckpt", str(ckpt), "--regime",
+                         "rally", "--count", "2", "--out", str(out)]) == code
+        if code:
+            assert capsys.readouterr().err.startswith(
+                "error: invalid: regime_count must be 3")
+            assert not out.exists()
+        else:
+            assert corpus.read_corpus(out).labels() == [
+                gan.RegimeLabel.RALLY] * 2
 
 
 def test_import_loads_no_scipy():
@@ -616,3 +660,29 @@ class TestPipelineSubcommands:
             assert list(a["phi"]) == sorted(FEATURE_NAMES)
             assert a["baseline"] + sum(a["phi"].values()) == pytest.approx(
                 a["prediction"], abs=1e-9)
+
+
+def test_evaluate_computes_features_once_per_matrix(tmp_path, monkeypatch):
+    """The evaluate stage reads its per-regime facts from the classifier's
+    features: one ``feature_vector`` call per matrix, no ``stylized_report``."""
+    real, synth = tmp_path / "real", tmp_path / "synth"
+    corpus.write_corpus(corpus.build_surrogate(6, 16, seed=7), real)
+    corpus.write_corpus(corpus.build_surrogate(2, 16, seed=8), synth)
+    seen = Counter()
+
+    def counted(c):
+        seen[np.asarray(c).tobytes()] += 1
+        return feature_vector(c)
+
+    for name, fn in (("feature_vector", counted), ("stylized_report", refuse)):
+        original = getattr(facts, name)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("corrlab")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, fn)
+    assert cli.main(["evaluate", "--real", str(real), "--synth", str(synth),
+                     "--report", str(tmp_path / "eval.json")]) == 0
+    mats = corpus.read_corpus(real).matrices() + corpus.read_corpus(
+        synth).matrices()
+    assert seen == Counter(m.tobytes() for m in mats)
+    assert max(seen.values()) == 1

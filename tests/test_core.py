@@ -67,6 +67,14 @@ class TestValidate:
         assert Violation.PSD in rep.failures
         assert rep.min_eigenvalue < -1e-8
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
+    def test_rejects_bad_tol(self, tol):
+        # a NaN tol makes every comparison false, so it would pass anything
+        with pytest.raises(InvalidInput):
+            core.validate([[1.0, 3.0], [3.0, 1.0]], tol=tol)
+        with pytest.raises(InvalidInput):
+            core.is_correlation(np.eye(3), tol=tol)
+
     def test_tolerance_band(self):
         m = np.eye(2)
         m[0, 1] = m[1, 0] = 1.0  # min eigenvalue exactly 0

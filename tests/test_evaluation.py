@@ -5,6 +5,7 @@ import pytest
 
 from corrlab import corpus, evaluation
 from corrlab.exceptions import DegenerateBasis, InvalidInput
+from corrlab.facts import FEATURE_NAMES, feature_vector
 from corrlab.samplers import RegimeLabel, sample_onion
 
 
@@ -41,6 +42,10 @@ class TestPcaProject:
     def test_empty_reference(self):
         with pytest.raises(InvalidInput):
             evaluation.pca_project([])
+
+    def test_dim_mismatch(self):
+        with pytest.raises(InvalidInput):
+            evaluation.pca_project(clouds(dim=16), clouds(dim=8))
 
 
 class TestSubsample:
@@ -122,14 +127,19 @@ class TestClassifierFidelity:
     def test_separable_surrogate(self):
         real = corpus.build_surrogate(30, 16, seed=1)
         synth = corpus.build_surrogate(10, 16, seed=2)
-        fid = evaluation.classifier_fidelity(real, synth, seed=0)
+        fid = evaluation.classifier_fidelity(
+            evaluation.corpus_features(real),
+            evaluation.corpus_features(synth), seed=0)
         assert fid.confusion.sum() == 30
         assert fid.accuracy >= 0.8
         assert fid.real_holdout_accuracy >= 0.8
         assert not fid.weak_classifier
 
-    def test_dim_mismatch(self):
-        a = corpus.build_surrogate(2, 16, seed=1)
-        b = corpus.build_surrogate(2, 8, seed=1)
-        with pytest.raises(InvalidInput):
-            evaluation.classifier_fidelity(a, b)
+    def test_corpus_features(self):
+        corp = corpus.build_surrogate(2, 8, seed=1)
+        x, y = evaluation.corpus_features(corp)
+        assert x.shape == (6, len(FEATURE_NAMES))
+        assert y.tolist() == [0, 0, 1, 1, 2, 2]
+        for row, it in zip(x, corp.items):
+            assert np.array_equal(
+                row, np.nan_to_num(feature_vector(it.matrix).to_array()))

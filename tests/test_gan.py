@@ -28,6 +28,15 @@ class TestConfig:
         c = GanConfig(dim=32, epochs=5, seed=9)
         assert GanConfig.from_dict(c.to_dict()) == c
 
+    def test_regime_count_of_older_configs(self):
+        c = GanConfig(dim=32, epochs=5, seed=9)
+        old = {**c.to_dict(), "regime_count": len(REGIMES)}
+        assert "regime_count" not in c.to_dict()
+        assert GanConfig.from_dict(old) == c
+        for bad in (4, 2, 3.0, True, None):
+            with pytest.raises(ConfigError):
+                GanConfig.from_dict({**old, "regime_count": bad})
+
     def test_rejects_unsupported(self):
         with pytest.raises(ConfigError):
             GanConfig(dim=17)
