@@ -270,7 +270,7 @@ def _gan_config(cfg, what="gan config"):
     _check_section(cfg, _GAN_INTS, what)
     try:
         return gan.GanConfig.from_dict(cfg)
-    except (TypeError, ConfigError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{what}: {exc}") from None
 
 

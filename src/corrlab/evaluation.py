@@ -235,7 +235,9 @@ def classifier_fidelity(
     synthetic samples against their conditioning labels.
 
     ``real`` and ``synth`` are :func:`corpus_features` pairs ``(x, y)``;
-    the classifier trains on ``real`` less a stratified holdout.
+    the classifier trains on ``real`` less a stratified holdout of at
+    least one matrix per regime.  ``InvalidInput`` when that holdout
+    would leave a regime of ``real`` with no training matrix.
     """
     x, y = real
     xs_, ys_ = synth
@@ -247,6 +249,10 @@ def classifier_fidelity(
         g = rng.generator(seed, 100 + cls)
         idx = idx[g.permutation(len(idx))]
         k = max(1, int(round(holdout_frac * len(idx))))
+        if 0 < len(idx) <= k:
+            raise InvalidInput(
+                f"the classifier's holdout takes all {len(idx)} real "
+                f"{REGIMES[cls].value} matrices, leaving none to train on")
         ho_idx.extend(idx[:k])
         tr_idx.extend(idx[k:])
     tr_idx, ho_idx = np.asarray(tr_idx), np.asarray(ho_idx)

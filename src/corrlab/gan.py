@@ -13,13 +13,16 @@ Training uses the non-saturating GAN loss with alternating updates and
 is fully deterministic under the configured seed.  The loss is binary
 cross-entropy on logits, whose gradient (sigmoid(l) - t) / n stays exact
 where a float32 sigmoid saturates.  Each discriminator step takes one
-forward and one backward pass over the stacked [real; fake] batch.
+forward and one backward pass over the stacked [real; fake] batch.  Each
+generator step takes only the discriminator's input gradient
+(``backward(..., params=False)``): it computes no discriminator weight
+gradient, which that step would discard.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +30,8 @@ import numpy as np
 from . import neural, rng
 from .core import nearest_correlation
 from .corpus import LabeledCorpus
-from .exceptions import (ConfigError, InvalidInput, NumericalFailure,
-                         TrainingDiverged)
+from .exceptions import (ConfigError, CorruptData, InvalidInput,
+                         NumericalFailure, TrainingDiverged)
 from .samplers import REGIMES, RegimeLabel
 
 _SUPPORTED_DIMS = (16, 32, 80)
@@ -65,10 +68,18 @@ class GanConfig:
         return asdict(self)
 
     @classmethod
+    def unknown_keys(cls, d) -> list:
+        """The keys of ``d`` that ``from_dict`` does not know, sorted."""
+        return sorted(set(d) - {f.name for f in fields(cls)} - {"regime_count"})
+
+    @classmethod
     def from_dict(cls, d):
-        """Config from ``to_dict``'s keys.  A ``regime_count`` key, which
-        older configs and checkpoints hold, is dropped when it equals
-        ``len(REGIMES)`` and refused otherwise."""
+        """Config from ``to_dict``'s keys; ``ConfigError`` names any other.
+        A ``regime_count`` key, which older configs and checkpoints hold,
+        is dropped when it equals ``len(REGIMES)`` and refused otherwise."""
+        unknown = cls.unknown_keys(d)
+        if unknown:
+            raise ConfigError(f"unknown keys {unknown}")
         d = dict(d)
         count = d.pop("regime_count", len(REGIMES))
         if type(count) is not int or count != len(REGIMES):
@@ -252,7 +263,7 @@ def train(
             xf = _disc_input(config, fake_tri, fake_hot)
             logit, cf = ckpt.discriminator.forward(xf)
             g_loss, dlogit = _bce_logits(logit, 1.0)
-            dinput, _ = ckpt.discriminator.backward(cf, dlogit)
+            dinput, _ = ckpt.discriminator.backward(cf, dlogit, params=False)
             dtri = _disc_input_grad_tri(config, dinput)
             _, gg = ckpt.generator.backward(cg, dtri)
             try:
@@ -362,8 +373,13 @@ def save_checkpoint(ckpt: GanCheckpoint, directory):
 
 
 def load_checkpoint(directory) -> GanCheckpoint:
+    """Read a checkpoint; ``CorruptData`` when ``gan.json``'s config holds
+    a key that ``save_checkpoint`` never writes."""
     directory = Path(directory)
     meta = json.loads((directory / "gan.json").read_text())
+    unknown = GanConfig.unknown_keys(meta["config"])
+    if unknown:
+        raise CorruptData(f"gan.json config holds unknown keys {unknown}")
     config = GanConfig.from_dict(meta["config"])
     gen, _ = neural.load_network(directory / "generator")
     disc, _ = neural.load_network(directory / "discriminator")

@@ -5,6 +5,17 @@ over a static layer list; there is no general autodiff tape.  Every rule
 is verifiable against central finite differences (:func:`gradient_check`)
 in float64 mode.  Training runs in float32 by default.
 
+Backward computes only the gradients its caller uses.
+:meth:`Network.backward` returns ``(None, grad)`` by default: the
+parameter gradient, with no input gradient for the first layer, which no
+trainer reads.  With ``params=False`` it returns ``(dx, None)``: the
+input gradient, with no layer computing a weight or bias gradient (a GAN
+generator step needs only its discriminator's input gradient).  A
+layer's ``backward(cache, dout, dx=True, params=True)`` follows the same
+rule: a parameterised layer returns ``None`` for an input gradient it was
+not asked for and an empty dict for parameter gradients it was not asked
+for.  Each result is bit-identical to the one a full backward computes.
+
 A :class:`Network` keeps every parameter in one flat array, ``theta``, in
 NNCK weight order: layer order, then parameter name inside a layer, so
 ``b`` comes before ``w``.  Layers hold reshaped views into it, backward
@@ -20,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +65,9 @@ class Layer:
         """Return (output, cache)."""
         raise NotImplementedError
 
-    def backward(self, cache, dout):
-        """Return (dx, {param_name: grad})."""
+    def backward(self, cache, dout, dx=True, params=True):
+        """Return (dx, {param_name: grad}); dx is None unless ``dx``, and
+        the dict is empty unless ``params``."""
         raise NotImplementedError
 
 
@@ -86,14 +99,15 @@ class Dense(Layer):
     def forward(self, x):
         return x @ self.w + self.b, x
 
-    def backward(self, cache, dout):
-        x = cache
-        dw = x.T @ dout
-        db = dout.sum(axis=0)
-        return dout @ self.w.T, {"w": dw, "b": db}
+    def backward(self, cache, dout, dx=True, params=True):
+        grads = {"w": cache.T @ dout, "b": dout.sum(axis=0)} if params else {}
+        return (dout @ self.w.T if dx else None), grads
 
 
 class _Activation(Layer):
+    """A parameter-free elementwise layer; its backward always returns the
+    input gradient, the only thing it can compute."""
+
     def out_shape(self, in_shape):
         return in_shape
 
@@ -105,22 +119,36 @@ class ReLU(_Activation):
     def forward(self, x):
         return np.maximum(x, 0), x
 
-    def backward(self, cache, dout):
+    def backward(self, cache, dout, dx=True, params=True):
         return dout * (cache > 0), {}
 
 
 class LeakyReLU(_Activation):
+    """``x`` where ``x > 0``, else ``alpha * x``, for ``alpha`` in (0, 1].
+
+    Both passes are branch-free.  On that range ``maximum(alpha x, x)``
+    equals the select ``where(x > 0, x, alpha x)`` bit for bit, -0.0,
+    infinities and every NaN included: for a NaN ``x`` both operands are
+    NaN and ``maximum`` returns the first, the product the select returns.
+    ``alpha = 0`` is refused because ``0 * inf`` is NaN where the select
+    keeps ``inf``; :class:`ReLU` is that layer."""
+
     def __init__(self, alpha=0.2):
+        if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
+                or not 0 < alpha <= 1):
+            raise ConfigError(f"leaky_relu alpha must be a number in (0, 1], "
+                              f"not {alpha!r}")
         self.alpha = alpha
 
     def spec(self):
         return {"kind": "leaky_relu", "alpha": self.alpha}
 
     def forward(self, x):
-        return np.where(x > 0, x, self.alpha * x), x
+        return np.maximum(self.alpha * x, x), x
 
-    def backward(self, cache, dout):
-        return dout * np.where(cache > 0, 1.0, self.alpha).astype(dout.dtype), {}
+    def backward(self, cache, dout, dx=True, params=True):
+        # the slope, 1 or alpha, in dout's dtype
+        return dout * np.maximum(cache > 0, dout.dtype.type(self.alpha)), {}
 
 
 class Tanh(_Activation):
@@ -131,7 +159,7 @@ class Tanh(_Activation):
         y = np.tanh(x)
         return y, y
 
-    def backward(self, cache, dout):
+    def backward(self, cache, dout, dx=True, params=True):
         return dout * (1.0 - cache * cache), {}
 
 
@@ -143,7 +171,7 @@ class Sigmoid(_Activation):
         y = 1.0 / (1.0 + np.exp(-x))
         return y, y
 
-    def backward(self, cache, dout):
+    def backward(self, cache, dout, dx=True, params=True):
         return dout * cache * (1.0 - cache), {}
 
 
@@ -157,7 +185,7 @@ class Flatten(Layer):
     def forward(self, x):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, cache, dout):
+    def backward(self, cache, dout, dx=True, params=True):
         return dout.reshape(cache), {}
 
 
@@ -178,7 +206,7 @@ class Reshape(Layer):
     def forward(self, x):
         return x.reshape((x.shape[0],) + self.shape), x.shape
 
-    def backward(self, cache, dout):
+    def backward(self, cache, dout, dx=True, params=True):
         return dout.reshape(cache), {}
 
 
@@ -252,17 +280,19 @@ class Conv2D(Layer):
         out = np.einsum("oc,ncl->nol", w2, cols) + self.b[None, :, None]
         return out.reshape(x.shape[0], self.out_ch, oh, ow), (x.shape, cols)
 
-    def backward(self, cache, dout):
+    def backward(self, cache, dout, dx=True, params=True):
         x_shape, cols = cache
         k, s, p = self.kernel, self.stride, self.pad
-        n = dout.shape[0]
-        d2 = dout.reshape(n, self.out_ch, -1)
-        w2 = self.w.reshape(self.out_ch, -1)
-        dw = np.einsum("nol,ncl->oc", d2, cols).reshape(self.w.shape)
-        db = d2.sum(axis=(0, 2))
-        dcols = np.einsum("oc,nol->ncl", w2, d2)
-        dx = _col2im(dcols, x_shape, k, k, s, p)
-        return dx, {"w": dw, "b": db}
+        d2 = dout.reshape(dout.shape[0], self.out_ch, -1)
+        grads = {}
+        if params:
+            grads["w"] = np.einsum("nol,ncl->oc", d2, cols).reshape(
+                self.w.shape)
+            grads["b"] = d2.sum(axis=(0, 2))
+        if not dx:
+            return None, grads
+        dcols = np.einsum("oc,nol->ncl", self.w.reshape(self.out_ch, -1), d2)
+        return _col2im(dcols, x_shape, k, k, s, p), grads
 
 
 class ConvTranspose2D(Layer):
@@ -312,17 +342,21 @@ class ConvTranspose2D(Layer):
         out = _col2im(cols, (n, self.out_ch, oh, ow), k, k, s, p)
         return out + self.b[None, :, None, None], (x, (n, self.out_ch, oh, ow))
 
-    def backward(self, cache, dout):
-        x, out_shape = cache
+    def backward(self, cache, dout, dx=True, params=True):
+        x, _ = cache
         k, s, p = self.kernel, self.stride, self.pad
         n, c, h, w = x.shape
         dcols, _ = _im2col(dout, k, k, s, p)
+        grads = {}
+        if params:
+            x2 = x.reshape(n, c, h * w)
+            grads["w"] = np.einsum("ncl,nfl->cf", x2, dcols).reshape(
+                self.w.shape)
+            grads["b"] = dout.sum(axis=(0, 2, 3))
+        if not dx:
+            return None, grads
         w2 = self.w.reshape(self.in_ch, -1)
-        x2 = x.reshape(n, c, h * w)
-        dx = np.einsum("cf,nfl->ncl", w2, dcols).reshape(x.shape)
-        dw = np.einsum("ncl,nfl->cf", x2, dcols).reshape(self.w.shape)
-        db = dout.sum(axis=(0, 2, 3))
-        return dx, {"w": dw, "b": db}
+        return np.einsum("cf,nfl->ncl", w2, dcols).reshape(x.shape), grads
 
 
 _LAYER_KINDS = {
@@ -394,16 +428,21 @@ class Network:
             caches.append(cache)
         return x, caches
 
-    def backward(self, caches, dout):
-        """Input gradient and parameter gradient (laid out like ``theta``)."""
+    def backward(self, caches, dout, params=True):
+        """``(None, grad)``: the parameter gradient, laid out like
+        ``theta``; the first layer computes no input gradient.  With
+        ``params=False``, ``(dx, None)``: the input gradient, and no layer
+        computes a parameter gradient."""
         if len(caches) != len(self.layers):
             raise InvalidInput("cache does not match this network")
-        grad = np.empty_like(self.theta)
+        grad = np.empty_like(self.theta) if params else None
         for i in range(len(self.layers) - 1, -1, -1):
-            dout, g = self.layers[i].backward(caches[i], dout)
-            for name, s in self._slices[i].items():
-                grad[s] = g[name].ravel()
-        return dout, grad
+            dout, g = self.layers[i].backward(
+                caches[i], dout, dx=i > 0 or not params, params=params)
+            if params:
+                for name, s in self._slices[i].items():
+                    grad[s] = g[name].ravel()
+        return (None, grad) if params else (dout, None)
 
     # -- serialization ------------------------------------------------------
 

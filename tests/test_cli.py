@@ -238,6 +238,46 @@ class TestExitCodes:
             assert corpus.read_corpus(out).labels() == [
                 gan.RegimeLabel.RALLY] * 2
 
+    @pytest.mark.parametrize("command", ["generate", "mc run"])
+    def test_checkpoint_unknown_config_key(self, tmp_path, capsys, command):
+        ckpt = tmp_path / "ckpt"
+        gan.save_checkpoint(gan.build(gan.GanConfig()), ckpt)
+        meta = json.loads((ckpt / "gan.json").read_text())
+        meta["config"]["extra_key"] = 1
+        (ckpt / "gan.json").write_text(json.dumps(meta))
+        out = tmp_path / "out"
+        if command == "generate":
+            argv = ["generate", "--ckpt", str(ckpt), "--regime", "rally",
+                    "--count", "1", "--out", str(out)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "count_per_regime": 1, "dim": 16, "t_in": 40, "t_out": 40,
+                "generator": "checkpoint", "checkpoint": str(ckpt)}))
+            argv = ["mc", "run", "--config", str(cfg), "--out", str(out)]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: gan.json config holds unknown "
+                              "keys ['extra_key']")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_evaluate_one_matrix_per_regime(self, tmp_path, capsys):
+        # the holdout takes the only real matrix of each regime
+        corpus.write_corpus(corpus.build_surrogate(1, 16, seed=1),
+                            tmp_path / "real")
+        corpus.write_corpus(corpus.build_surrogate(2, 16, seed=2),
+                            tmp_path / "synth")
+        report = tmp_path / "eval.json"
+        assert cli.main(["evaluate", "--real", str(tmp_path / "real"),
+                         "--synth", str(tmp_path / "synth"),
+                         "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid: the classifier's holdout takes "
+                              "all 1 real stressed matrices")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["real", "synth"]
+
 
 def test_import_loads_no_scipy():
     # scipy is loaded on first use only (the exact W2 assignment), so the

@@ -135,6 +135,15 @@ class TestClassifierFidelity:
         assert fid.real_holdout_accuracy >= 0.8
         assert not fid.weak_classifier
 
+    def test_refuses_regime_left_without_training_matrix(self):
+        x, y = evaluation.corpus_features(corpus.build_surrogate(2, 8, seed=1))
+        # one rally matrix: the holdout would take it
+        keep = np.flatnonzero(y != 2)[:4].tolist() + [5]
+        with pytest.raises(InvalidInput, match="all 1 real rally"):
+            evaluation.classifier_fidelity((x[keep], y[keep]), (x, y))
+        fid = evaluation.classifier_fidelity((x, y), (x, y))
+        assert fid.confusion.sum() == 6
+
     def test_corpus_features(self):
         corp = corpus.build_surrogate(2, 8, seed=1)
         x, y = evaluation.corpus_features(corp)

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from corrlab import corpus, gan, neural
+import neural_reference
+from corrlab import corpus, gan, mc, neural, rng
 from corrlab.core import validate
-from corrlab.exceptions import ConfigError, InvalidInput, TrainingDiverged
+from corrlab.exceptions import (ConfigError, CorruptData, InvalidInput,
+                                TrainingDiverged)
 from corrlab.gan import GanConfig, REGIMES
 from corrlab.samplers import RegimeLabel
 
@@ -36,6 +40,17 @@ class TestConfig:
         for bad in (4, 2, 3.0, True, None):
             with pytest.raises(ConfigError):
                 GanConfig.from_dict({**old, "regime_count": bad})
+
+    def test_unknown_keys(self, tmp_path):
+        c = GanConfig(dim=16, epochs=1)
+        with pytest.raises(ConfigError, match=r"unknown keys \['extra_key'\]"):
+            GanConfig.from_dict({**c.to_dict(), "extra_key": 1})
+        gan.save_checkpoint(gan.build(c), tmp_path)
+        meta = json.loads((tmp_path / "gan.json").read_text())
+        meta["config"]["extra_key"] = 1
+        (tmp_path / "gan.json").write_text(json.dumps(meta))
+        with pytest.raises(CorruptData, match="extra_key"):
+            gan.load_checkpoint(tmp_path)
 
     def test_rejects_unsupported(self):
         with pytest.raises(ConfigError):
@@ -152,6 +167,23 @@ class TestTrain:
             assert np.isfinite(g_loss)
             assert np.isfinite(d_loss)
 
+    def test_training_bytes_equal_reference_engine(self, small_corpus,
+                                                   monkeypatch):
+        """The branch-free LeakyReLU and the gradient-skipping backward
+        train the same weights, bit for bit, as the select-based LeakyReLU
+        and the full backward."""
+        def train(arch, epochs):
+            config = GanConfig(dim=16, arch=arch, epochs=epochs, batch_size=8,
+                               seed=5)
+            ckpt = gan.train(gan.build(config), small_corpus)
+            return (ckpt.generator.weight_bytes(),
+                    ckpt.discriminator.weight_bytes(), ckpt.loss_history)
+
+        runs = [("dense", 2), ("conv", 1)]
+        engine = [train(*run) for run in runs]
+        neural_reference.install(monkeypatch)
+        assert [train(*run) for run in runs] == engine
+
     def test_training_deterministic(self, small_corpus):
         config = GanConfig(dim=16, epochs=2, batch_size=8, seed=5)
         a = gan.train(gan.build(config), small_corpus)
@@ -208,6 +240,21 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="NaN/Inf gradient") as info:
             gan.train(ckpt, small_corpus)
         assert info.value.last_checkpoint is ckpt
+
+
+def test_mc_runs_every_stream_of_untrained_checkpoint(capsys):
+    """Projected draws of an untrained generator factor in every Monte
+    Carlo stream; none is skipped as not positive definite."""
+    ckpt = gan.build(GanConfig(dim=16))
+    config = mc.McConfig(count_per_regime=20, dim=16, t_in=60, t_out=60)
+
+    def draw(regime, stream):
+        seed = rng.mix(config.seed, stream)
+        return gan.sample(ckpt, regime, 1, seed=seed).matrices[0]
+
+    records = mc.run(config, generator_fn=draw)
+    assert len(records) == 60
+    assert "skipped" not in capsys.readouterr().out
 
 
 class TestCheckpoint:

@@ -1,6 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import neural_reference
 from corrlab import neural
 from corrlab.exceptions import (
     ConfigError,
@@ -141,6 +147,102 @@ class TestNetwork:
     def test_unknown_layer_kind(self):
         with pytest.raises(ConfigError):
             neural.Network.from_specs([{"kind": "attention"}], (4,))
+
+
+def leaky_inputs(dtype, shape):
+    """Arrays of ``dtype`` drawn as floats (+-0.0, +-inf, NaN and
+    subnormals included) or as raw bit patterns, which reach every NaN
+    payload, signalling ones too."""
+    dtype = np.dtype(dtype)
+    floats = st.floats(width=dtype.itemsize * 8, allow_subnormal=True)
+    return (hnp.arrays(dtype, shape, elements=floats)
+            | hnp.arrays(f"u{dtype.itemsize}", shape).map(
+                lambda bits: bits.view(dtype)))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestLeakyReLU:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([np.float32, np.float64]),
+           st.sampled_from([0.01, 0.1, 0.2, 0.3, 0.7, 1.0])
+           | st.floats(min_value=0, max_value=1, exclude_min=True))
+    def test_branch_free_equals_select(self, data, dtype, alpha):
+        x = data.draw(leaky_inputs(
+            dtype, hnp.array_shapes(max_dims=2, max_side=6)))
+        dout = data.draw(leaky_inputs(dtype, x.shape))
+        layer = neural.LeakyReLU(alpha)
+        with np.errstate(invalid="ignore"):  # NaN and inf inputs
+            y, cache = layer.forward(x)
+            ref_y, ref_cache = neural_reference.leaky_forward(layer, x)
+            dx, _ = layer.backward(cache, dout)
+            ref_dx, _ = neural_reference.leaky_backward(layer, ref_cache, dout)
+        assert same_bits(y, ref_y)
+        assert same_bits(dx, ref_dx)
+
+    @pytest.mark.parametrize("alpha", [
+        0, 0.0, -0.2, 1.5, float("nan"), float("inf"), -float("inf"), True,
+        "0.2", None,
+    ])
+    def test_refuses_alpha_outside_unit_interval(self, alpha, tmp_path):
+        with pytest.raises(ConfigError, match="alpha"):
+            neural.LeakyReLU(alpha)
+        spec = [{"kind": "leaky_relu", "alpha": alpha}]
+        with pytest.raises(ConfigError, match="alpha"):
+            neural.Network.from_specs(spec, (4,))
+        if isinstance(alpha, float) and not np.isfinite(alpha):
+            return  # JSON holds no NaN or infinity
+        neural.save_network(
+            neural.Network([neural.LeakyReLU(0.5)], (4,)), tmp_path)
+        model = json.loads((tmp_path / "model.json").read_text())
+        model["layers"] = spec
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        with pytest.raises(ConfigError, match="alpha"):
+            neural.load_network(tmp_path)
+
+
+def backward_stacks():
+    g = g64(20)
+    return {
+        "dense": neural.Network(
+            [neural.Dense(10, 16, g), neural.LeakyReLU(0.2),
+             neural.Dense(16, 8, g), neural.Tanh()], (10,)),
+        "conv": neural.Network(
+            [neural.Conv2D(2, 4, 4, 2, 1, g), neural.LeakyReLU(0.2),
+             neural.ConvTranspose2D(4, 3, 4, 2, 1, g), neural.LeakyReLU(0.2),
+             neural.Flatten(), neural.Dense(3 * 8 * 8, 1, g)], (2, 8, 8)),
+        "conv-transpose-first": neural.Network(
+            [neural.ConvTranspose2D(3, 2, 4, 2, 1, g), neural.Sigmoid(),
+             neural.Conv2D(2, 1, 3, 1, 1, g), neural.Flatten()], (3, 4, 4)),
+        "activation-first": neural.Network(
+            [neural.LeakyReLU(0.3), neural.Dense(6, 2, g)], (6,)),
+    }
+
+
+class TestBackwardModes:
+    @pytest.mark.parametrize("name", list(backward_stacks()))
+    def test_each_mode_equals_full_backward(self, name):
+        net = backward_stacks()[name]
+        g = g64(21)
+        x = g.standard_normal((5,) + net.input_shape).astype(np.float32)
+        y, caches = net.forward(x)
+        dout = g.standard_normal(y.shape).astype(np.float32)
+        ref_dx, ref_grad = neural_reference.network_backward(net, caches, dout)
+        dx, no_grad = net.backward(caches, dout, params=False)
+        no_dx, grad = net.backward(caches, dout)
+        assert no_grad is None and no_dx is None
+        assert same_bits(dx, ref_dx)
+        assert same_bits(grad, ref_grad)
+        assert np.abs(dx).max() > 0 and np.abs(grad).max() > 0
+
+    def test_layers_skip_what_is_not_asked(self):
+        layer = neural.Dense(3, 2, g64(22))
+        _, cache = layer.forward(np.ones((4, 3), np.float32))
+        dout = np.ones((4, 2), np.float32)
+        assert layer.backward(cache, dout, dx=False)[0] is None
+        assert layer.backward(cache, dout, params=False)[1] == {}
 
 
 class TestSerialization:
