@@ -39,7 +39,6 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -261,13 +260,12 @@ def _check_section(cfg, ints, what):
         raise ConfigError(f"{what} {bad} must be integers")
 
 
-_GAN_INTS = [k for k, t in get_type_hints(gan.GanConfig).items() if t is int]
 _MC_KEYS = ("count_per_regime", "dim", "t_in", "t_out", "seed")
 
 
 def _gan_config(cfg, what="gan config"):
     """``GanConfig`` from a JSON object; ``ConfigError`` on bad input."""
-    _check_section(cfg, _GAN_INTS, what)
+    _check_section(cfg, (), what)
     try:
         return gan.GanConfig.from_dict(cfg)
     except ConfigError as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import takewhile
 from typing import NamedTuple
 
 import numpy as np
@@ -107,11 +108,8 @@ def mst(c) -> list[tuple[int, int]]:
 
 
 def mst_degrees(tree, n: int) -> np.ndarray:
-    deg = np.zeros(n, dtype=int)
-    for i, j in tree:
-        deg[i] += 1
-        deg[j] += 1
-    return deg
+    """Degree of each of the ``n`` nodes in the edge list ``tree``."""
+    return np.bincount(np.asarray(tree, dtype=int).ravel(), minlength=n)
 
 
 def degree_tail_exponent(degrees: np.ndarray) -> float:
@@ -302,56 +300,85 @@ def stylized_report(c, q_ratio: float = DEFAULT_Q_RATIO) -> StylizedFactReport:
     )
 
 
-def _kmedoids(d: np.ndarray, k: int, max_iter: int = 100):
-    """Deterministic PAM: greedy build then first-improvement swaps.
+def _build(d: np.ndarray, dt: np.ndarray, k: int) -> list[int]:
+    """Greedy PAM BUILD, in the order the medoids are chosen; ``dt`` is
+    ``d.T`` in C order, so each candidate's gain is summed along a row.
 
-    Every candidate of a build step or a swap is scored at once.  Row c of
-    ``dt`` holds the distances of all points to candidate c, so each score
-    is summed exactly as ``d[:, medoids].min(axis=1).sum()`` would be.
-    A swap takes the first candidate, in index order from the scan
-    position, that lowers the cost by more than 1e-12, then the scan goes
-    on from the next candidate against the new medoid set.
+    The first medoid minimises the total distance; each next one gains the
+    most against the current nearest medoid.  A step depends only on the
+    medoids before it, so the build for any j <= k is the first j of the
+    build for k.
     """
-    n = d.shape[0]
-    dt = np.ascontiguousarray(d.T)
     medoids = [int(np.argmin(d.sum(axis=0)))]
+    cur = d[:, medoids[0]]
     while len(medoids) < k:
-        cur = d[:, medoids].min(axis=1)
         gain = np.maximum(cur - dt, 0.0).sum(axis=1)
         gain[medoids] = -np.inf
         medoids.append(int(np.argmax(gain)))
-    medoids = sorted(medoids)
+        cur = np.minimum(cur, d[:, medoids[-1]])
+    return medoids
 
+
+def _swap(d: np.ndarray, dt: np.ndarray, medoids: list, max_iter: int):
+    """First-improvement PAM swaps from the sorted ``medoids``.
+
+    A pass scans (slot, candidate) in order.  At the first candidate that
+    lowers the cost by more than 1e-12 it swaps, then goes on from the next
+    (slot, candidate) position against the new sorted medoid set; a pass
+    with no swap ends the search, as do ``max_iter`` passes.  Each scan
+    scores every (slot, candidate) pair at once: slot s's base distance is
+    each point's nearest medoid other than s, which is its second-nearest
+    medoid where s is its nearest, and row c of ``dt`` holds the distances
+    to candidate c, so each cost is summed exactly as
+    ``d[:, trial].min(axis=1).sum()`` would be.
+    """
+    n, k = d.shape[0], len(medoids)
+    rows, slots = np.arange(n), np.arange(k)[:, None]
     best = float(d[:, medoids].min(axis=1).sum())
     for _ in range(max_iter):
         improved = False
-        for mi in range(k):
-            start = 0
-            while start < n:
-                others = medoids[:mi] + medoids[mi + 1:]
-                base = np.min(d[:, others], axis=1, initial=np.inf)
-                cost = np.minimum(base, dt[start:]).sum(axis=1)
-                cost[[m - start for m in medoids if m >= start]] = np.inf
-                hits = np.flatnonzero(cost < best - 1e-12)
-                if hits.size == 0:
-                    break
-                cand = start + int(hits[0])
-                medoids, best = sorted(others + [cand]), float(cost[hits[0]])
-                improved = True
-                start = cand + 1
+        pos = 0  # flat (slot, candidate) position of the scan
+        while True:
+            dm = d[:, medoids]
+            near = dm.argmin(axis=1)
+            first = dm[rows, near]
+            dm[rows, near] = np.inf
+            base = np.where(near == slots, dm.min(axis=1), first)
+            cost = np.minimum(base[:, None, :], dt).sum(axis=2)
+            cost[:, medoids] = np.inf
+            hits = np.flatnonzero(cost.ravel()[pos:] < best - 1e-12)
+            if hits.size == 0:
+                break
+            pos += int(hits[0])
+            s, cand = divmod(pos, n)
+            best = float(cost[s, cand])
+            medoids = sorted(medoids[:s] + medoids[s + 1:] + [cand])
+            improved = True
+            pos += 1
         if not improved:
             break
-    labels = np.argmin(d[:, medoids], axis=1)
-    return np.asarray(medoids), labels
+    return np.asarray(medoids), np.argmin(d[:, medoids], axis=1)
+
+
+def _kmedoids(d: np.ndarray, k: int, max_iter: int = 100):
+    """Deterministic PAM for k >= 1: greedy build (``_build``), then
+    first-improvement swaps (``_swap``).  Returns the sorted medoids and
+    each point's label, the index of its nearest medoid."""
+    dt = np.ascontiguousarray(d.T)
+    return _swap(d, dt, sorted(_build(d, dt, k)), max_iter)
 
 
 def _silhouette(d: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette; a point alone in its cluster scores 0."""
     n = d.shape[0]
-    uniq, inv = np.unique(labels, return_inverse=True)
-    if uniq.size < 2:
+    if labels.min() >= 0 and np.bincount(labels).all():
+        m, inv = int(labels.max()) + 1, labels  # labels 0..m-1, all present
+    else:
+        uniq, inv = np.unique(labels, return_inverse=True)
+        m = uniq.size
+    if m < 2:
         return -1.0
-    onehot = np.eye(uniq.size)[inv]
+    onehot = np.eye(m)[inv]
     sums = d @ onehot
     counts = onehot.sum(axis=0)
     rows = np.arange(n)
@@ -368,14 +395,24 @@ def _silhouette(d: np.ndarray, labels: np.ndarray) -> float:
 
 
 def cluster_separation(c: np.ndarray, k_range=range(2, 7)):
-    """Best mean silhouette over a k-medoids scan on sqrt(2(1-rho))."""
+    """Best mean silhouette over a k-medoids scan on sqrt(2(1-rho)).
+
+    The scan stops at the first k >= dim; a k below 2 makes one cluster,
+    whose silhouette (-1) never wins.  The greedy build runs once, to the
+    largest k scanned; each k swaps from the first k of its medoids
+    (``_build`` is prefix-stable), so every k gets the medoids that
+    ``_kmedoids(d, k)`` gives.
+    """
     d = corr_distance(c)
+    ks = [k for k in takewhile(lambda k: k < c.shape[0], k_range) if k >= 2]
+    if not ks:
+        return -1.0, None
+    dt = np.ascontiguousarray(d.T)
+    build = _build(d, dt, max(ks))
     best = -1.0
     best_k = None
-    for k in k_range:
-        if k >= c.shape[0]:
-            break
-        _, labels = _kmedoids(d, k)
+    for k in ks:
+        _, labels = _swap(d, dt, sorted(build[:k]), 100)
         s = _silhouette(d, labels)
         if s > best:
             best, best_k = s, k
@@ -408,7 +445,7 @@ def feature_vector(c) -> FeatureVector:
     if n < 4:
         raise InvalidInput("feature_vector requires dim >= 4")
     off = c[~np.eye(n, dtype=bool)]
-    if np.allclose(off, off[0]) and abs(off[0] - 1.0) < 1e-12:
+    if abs(off[0] - 1.0) < 1e-12 and np.allclose(off, off[0]):
         raise DegenerateStructure("all columns identical")
 
     w, v = np.linalg.eigh(c)

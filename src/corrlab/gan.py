@@ -22,6 +22,7 @@ gradient, which that step would discard.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -40,6 +41,14 @@ _ONE_HOT = np.eye(len(REGIMES), dtype=np.float32)
 _ONE_HOT.flags.writeable = False
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass
 class GanConfig:
     dim: int = 16
@@ -53,12 +62,22 @@ class GanConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim not in _SUPPORTED_DIMS:
+        """``ConfigError`` unless every field has its type and range."""
+        for name, low in (("noise_dim", 1), ("epochs", 1), ("batch_size", 8),
+                          ("d_steps_per_g", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, "
+                                  f"not {value!r}")
+        if not _is_int(self.dim) or self.dim not in _SUPPORTED_DIMS:
             raise ConfigError(f"dim must be one of {_SUPPORTED_DIMS}")
-        if self.batch_size < 8:
-            raise ConfigError("batch_size must be >= 8")
         if self.arch not in ("dense", "conv"):
             raise ConfigError("arch must be 'dense' or 'conv'")
+        for name in ("lr_g", "lr_d"):
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be a finite number > 0, "
+                                  f"not {value!r}")
 
     @property
     def tri_len(self) -> int:
@@ -80,12 +99,18 @@ class GanConfig:
         unknown = cls.unknown_keys(d)
         if unknown:
             raise ConfigError(f"unknown keys {unknown}")
+        return cls(**cls._fields_of(d))
+
+    @staticmethod
+    def _fields_of(d) -> dict:
+        """``d`` without its ``regime_count``; ``ConfigError`` unless that
+        count is ``len(REGIMES)``."""
         d = dict(d)
         count = d.pop("regime_count", len(REGIMES))
         if type(count) is not int or count != len(REGIMES):
             raise ConfigError(f"regime_count must be {len(REGIMES)}, one per "
                               f"regime, not {count!r}")
-        return cls(**d)
+        return d
 
 
 @dataclass
@@ -373,18 +398,49 @@ def save_checkpoint(ckpt: GanCheckpoint, directory):
 
 
 def load_checkpoint(directory) -> GanCheckpoint:
-    """Read a checkpoint; ``CorruptData`` when ``gan.json``'s config holds
-    a key that ``save_checkpoint`` never writes."""
+    """Read a checkpoint.  ``CorruptData`` when ``gan.json`` is not a JSON
+    object holding a ``config`` object with only the keys and values that
+    ``save_checkpoint`` writes, an integer ``epoch`` >= 0, a
+    ``loss_history`` of (generator, discriminator) loss pairs and a boolean
+    ``mode_collapse_flag``.  A ``regime_count`` other than the number of
+    regimes stays a ``ConfigError``: that checkpoint is whole, but made for
+    another regime set."""
     directory = Path(directory)
-    meta = json.loads((directory / "gan.json").read_text())
-    unknown = GanConfig.unknown_keys(meta["config"])
+    try:
+        meta = json.loads((directory / "gan.json").read_bytes())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise CorruptData(f"gan.json is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CorruptData("gan.json must hold a JSON object")
+    cfg = meta.get("config")
+    if not isinstance(cfg, dict):
+        raise CorruptData("gan.json config must be a JSON object")
+    unknown = GanConfig.unknown_keys(cfg)
     if unknown:
         raise CorruptData(f"gan.json config holds unknown keys {unknown}")
-    config = GanConfig.from_dict(meta["config"])
+    kwargs = GanConfig._fields_of(cfg)
+    try:
+        config = GanConfig(**kwargs)
+    except ConfigError as exc:
+        raise CorruptData(f"gan.json config: {exc}") from None
+    epoch = meta.get("epoch")
+    if not _is_int(epoch) or epoch < 0:
+        raise CorruptData(f"gan.json epoch must be an integer >= 0, "
+                          f"not {epoch!r}")
+    history = meta.get("loss_history")
+    if not (isinstance(history, list) and all(
+            isinstance(x, list) and len(x) == 2 and all(map(_is_number, x))
+            for x in history)):
+        raise CorruptData("gan.json loss_history must be a list of "
+                          "[generator, discriminator] loss pairs")
+    flag = meta.get("mode_collapse_flag")
+    if not isinstance(flag, bool):
+        raise CorruptData(f"gan.json mode_collapse_flag must be true or "
+                          f"false, not {flag!r}")
     gen, _ = neural.load_network(directory / "generator")
     disc, _ = neural.load_network(directory / "discriminator")
     return GanCheckpoint(
-        config, gen, disc, epoch=meta["epoch"],
-        loss_history=[tuple(x) for x in meta["loss_history"]],
-        mode_collapse_flag=meta["mode_collapse_flag"],
+        config, gen, disc, epoch=epoch,
+        loss_history=[tuple(x) for x in history],
+        mode_collapse_flag=flag,
     )

@@ -113,9 +113,11 @@ def run(
     exception propagates.
 
     ``threads`` is accepted and ignored.  A simulation is Python-bound and
-    holds the GIL, so a thread pool only added contention: 90 simulations
-    at dim 24 took 0.66 s on one thread and 1.18 s on two (2 vCPUs, BLAS
-    pinned to one thread).
+    holds the GIL, so a thread pool only adds contention.  90 simulations
+    at dim 24 (t_in = t_out = 252) take about 0.25 s, 2.7 ms each, on one
+    of 2 vCPUs with BLAS pinned to one thread: about 1.25 ms for the
+    feature vector (0.5 ms of it cluster separation) and 1.2 ms for the
+    three backtests (0.6 ms of it HRP).
     """
     if config.count_per_regime < 1:
         raise InvalidInput("count_per_regime must be >= 1")

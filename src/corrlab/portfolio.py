@@ -55,13 +55,6 @@ def ivp_weights(cov) -> np.ndarray:
     return w / w.sum()
 
 
-def _cluster_var(sub: np.ndarray) -> float:
-    """Variance of the inverse-variance portfolio of one cluster."""
-    w = 1.0 / np.diag(sub)
-    w = w / w.sum()
-    return float(w @ sub @ w)
-
-
 def quasi_diag_order(corr: np.ndarray) -> list[int]:
     """Leaf order of the average-linkage tree on sqrt(2(1-rho))."""
     return average_linkage(corr_distance(corr)).order
@@ -79,6 +72,14 @@ def hrp_weights(cov) -> np.ndarray:
 
     # in quasi-diagonal order every bisection cluster is a contiguous block
     p = cov[np.ix_(order, order)]
+    inv_var = 1.0 / np.diag(p)
+
+    def cluster_var(a, b):
+        """Variance of the inverse-variance portfolio of block [a, b)."""
+        w = inv_var[a:b]
+        w = w / w.sum()
+        return float(w @ p[a:b, a:b] @ w)
+
     n = cov.shape[0]
     wp = np.ones(n)
     stack = [(0, n)]
@@ -87,8 +88,8 @@ def hrp_weights(cov) -> np.ndarray:
         if b - a <= 1:
             continue
         m = a + (b - a) // 2
-        var_l = _cluster_var(p[a:m, a:m])
-        var_r = _cluster_var(p[m:b, m:b])
+        var_l = cluster_var(a, m)
+        var_r = cluster_var(m, b)
         alpha = 1.0 - var_l / (var_l + var_r)
         wp[a:m] *= alpha
         wp[m:b] *= 1.0 - alpha
@@ -99,10 +100,13 @@ def hrp_weights(cov) -> np.ndarray:
     return _check_weights(w)
 
 
-def weights_for(method: str, cov) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float)
+def _check_finite(cov: np.ndarray) -> None:
     if not np.all(np.isfinite(cov)):
         raise InvalidInput("covariance has non-finite entries")
+
+
+def _weights(method: str, cov: np.ndarray) -> np.ndarray:
+    """``method``'s weights for a finite float covariance."""
     if method == "hrp":
         return hrp_weights(cov)
     if method == "ivp":
@@ -112,30 +116,46 @@ def weights_for(method: str, cov) -> np.ndarray:
     raise InvalidInput(f"unknown method {method!r}")
 
 
-def simulate_returns(corr, vols, t: int, seed: int, stream: int = 0):
-    """T x dim zero-mean Gaussian panel with covariance D corr D."""
+def weights_for(method: str, cov) -> np.ndarray:
+    cov = np.asarray(cov, dtype=float)
+    _check_finite(cov)
+    return _weights(method, cov)
+
+
+def _return_factor(corr, vols):
+    """``(chol, vols)``: the Cholesky factor of the symmetrized ``corr``
+    plus 1e-10 I, and ``vols`` as checked floats."""
     corr = symmetrize(corr)
     vols = np.asarray(vols, dtype=float)
-    if t < 2:
-        raise InvalidInput("t must be >= 2")
     if np.any(vols <= 0):
         raise InvalidInput("vols must be positive")
-    dim = corr.shape[0]
-    c = corr + 1e-10 * np.eye(dim)
+    c = corr + 1e-10 * np.eye(corr.shape[0])
     try:
-        chol = cholesky(c)
+        return cholesky(c), vols
     except NotPositiveDefinite:
         raise NotPositiveDefinite("correlation matrix not PD after jitter")
+
+
+def _draw_returns(chol, vols, t: int, seed: int, stream: int):
     g = rng.generator(seed, stream)
-    z = g.standard_normal((t, dim))
+    z = g.standard_normal((t, chol.shape[0]))
     return (z @ chol.T) * vols[None, :]
 
 
-def max_drawdown(returns_path: np.ndarray) -> float:
-    """Max drawdown of the cumulative (compounded) return path."""
-    wealth = np.cumprod(1.0 + returns_path)
-    peak = np.maximum.accumulate(wealth)
-    return float(np.max(1.0 - wealth / peak))
+def simulate_returns(corr, vols, t: int, seed: int, stream: int = 0):
+    """T x dim zero-mean Gaussian panel with covariance D corr D."""
+    if t < 2:
+        raise InvalidInput("t must be >= 2")
+    return _draw_returns(*_return_factor(corr, vols), t, seed, stream)
+
+
+def max_drawdown(returns_path: np.ndarray) -> float | np.ndarray:
+    """Max drawdown of the cumulative (compounded) return path: a float
+    for one path, one value per row for a stack of paths."""
+    wealth = np.cumprod(1.0 + returns_path, axis=-1)
+    peak = np.maximum.accumulate(wealth, axis=-1)
+    dd = np.max(1.0 - wealth / peak, axis=-1)
+    return float(dd) if np.ndim(dd) == 0 else dd
 
 
 def default_vols(dim: int, seed: int, stream: int = 0,
@@ -157,7 +177,11 @@ def backtest_methods(
 
     The panels depend only on ``corr``, ``vols``, the lengths and ``seed``,
     so they are drawn and the in-sample covariance estimated once; each
-    report equals the one ``backtest`` gives for that method.  Returns
+    report equals the one ``backtest`` gives for that method.  Both panels
+    come from one Cholesky factor, streams 1 and 2 of ``seed``, as two
+    ``simulate_returns`` calls would draw them.  Each allocator's returns
+    are one matrix-vector product per panel; their volatilities and
+    drawdowns are taken along the rows of the stacked returns.  Returns
     ``{method: RiskReport}`` in the order of ``methods``.
     """
     corr = symmetrize(corr)
@@ -168,21 +192,25 @@ def backtest_methods(
     if t_in < dim + 2 or t_out < dim + 2:
         raise InvalidInput("panels must have at least dim + 2 observations")
 
-    panel_in = simulate_returns(corr, vols, t_in, seed, stream=1)
-    panel_out = simulate_returns(corr, vols, t_out, seed, stream=2)
+    chol, vols = _return_factor(corr, vols)
+    panel_in = _draw_returns(chol, vols, t_in, seed, stream=1)
+    panel_out = _draw_returns(chol, vols, t_out, seed, stream=2)
     cov_hat = np.cov(panel_in, rowvar=False, ddof=1)
+    _check_finite(cov_hat)
 
-    reports = {}
-    for method in methods:
-        w = weights_for(method, cov_hat)
-        r_in = panel_in @ w
-        r_out = panel_out @ w
-        reports[method] = RiskReport(
-            in_sample_vol=float(r_in.std(ddof=1) * ANNUALIZATION),
-            out_sample_vol=float(r_out.std(ddof=1) * ANNUALIZATION),
-            max_drawdown=max_drawdown(r_out),
+    ws = [_weights(method, cov_hat) for method in methods]
+    vol_in = np.stack([panel_in @ w for w in ws]).std(ddof=1, axis=1)
+    r_out = np.stack([panel_out @ w for w in ws])
+    vol_out = r_out.std(ddof=1, axis=1)
+    drawdowns = max_drawdown(r_out)
+    return {
+        method: RiskReport(
+            in_sample_vol=float(vol_in[i] * ANNUALIZATION),
+            out_sample_vol=float(vol_out[i] * ANNUALIZATION),
+            max_drawdown=float(drawdowns[i]),
         )
-    return reports
+        for i, method in enumerate(methods)
+    }
 
 
 def backtest(

@@ -26,6 +26,10 @@ def write_matrix(path, m):
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
 class TestExitCodes:
     def test_help(self):
         r = run_cli("--help")
@@ -238,6 +242,17 @@ class TestExitCodes:
             assert corpus.read_corpus(out).labels() == [
                 gan.RegimeLabel.RALLY] * 2
 
+    @staticmethod
+    def _checkpoint_argv(tmp_path, command, ckpt, out):
+        if command == "generate":
+            return ["generate", "--ckpt", str(ckpt), "--regime", "rally",
+                    "--count", "1", "--out", str(out)]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "count_per_regime": 1, "dim": 16, "t_in": 40, "t_out": 40,
+            "generator": "checkpoint", "checkpoint": str(ckpt)}))
+        return ["mc", "run", "--config", str(cfg), "--out", str(out)]
+
     @pytest.mark.parametrize("command", ["generate", "mc run"])
     def test_checkpoint_unknown_config_key(self, tmp_path, capsys, command):
         ckpt = tmp_path / "ckpt"
@@ -246,19 +261,75 @@ class TestExitCodes:
         meta["config"]["extra_key"] = 1
         (ckpt / "gan.json").write_text(json.dumps(meta))
         out = tmp_path / "out"
-        if command == "generate":
-            argv = ["generate", "--ckpt", str(ckpt), "--regime", "rally",
-                    "--count", "1", "--out", str(out)]
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({
-                "count_per_regime": 1, "dim": 16, "t_in": 40, "t_out": 40,
-                "generator": "checkpoint", "checkpoint": str(ckpt)}))
-            argv = ["mc", "run", "--config", str(cfg), "--out", str(out)]
+        argv = self._checkpoint_argv(tmp_path, command, ckpt, out)
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: data: gan.json config holds unknown "
                               "keys ['extra_key']")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("dim", "16"),
+        ("noise_dim", 0),
+        ("arch", "rnn"),
+        ("epochs", -3),
+        ("batch_size", True),
+        ("lr_g", "x"),
+        ("lr_d", -1),
+        ("d_steps_per_g", 0),
+        ("seed", 2.0),
+    ])
+    def test_bad_gan_config_field(self, tmp_path, capsys, field, value):
+        corpus.write_corpus(corpus.build_surrogate(2, 16, seed=0),
+                            tmp_path / "corpus")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dim": 16, "epochs": 1, field: value}))
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(path), "--corpus",
+                         str(tmp_path / "corpus"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid: gan config: {field} ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: _without(m, "config"),
+        lambda m: {**m, "config": [16]},
+        lambda m: {**m, "config": {**m["config"], "lr_d": -1}},
+        lambda m: {**m, "config": {**m["config"], "epochs": 1.5}},
+        lambda m: _without(m, "epoch"),
+        lambda m: {**m, "epoch": "0"},
+        lambda m: {**m, "epoch": -1},
+        lambda m: _without(m, "loss_history"),
+        lambda m: {**m, "loss_history": {"0": [0.1, 0.2]}},
+        lambda m: {**m, "loss_history": [[0.1, 0.2, 0.3]]},
+        lambda m: {**m, "loss_history": [["x", 0.2]]},
+        lambda m: _without(m, "mode_collapse_flag"),
+        lambda m: {**m, "mode_collapse_flag": 0},
+        lambda m: "{not json",
+        lambda m: b"\xff\xfe\x00",
+        lambda m: [m],
+    ], ids=["no-config", "config-not-object", "config-negative-lr",
+            "config-float-epochs", "no-epoch", "string-epoch",
+            "negative-epoch", "no-loss-history", "loss-history-object",
+            "loss-triple", "string-loss", "no-flag", "int-flag",
+            "not-json", "not-utf8", "not-object"])
+    @pytest.mark.parametrize("command", ["generate", "mc run"])
+    def test_corrupt_gan_json(self, tmp_path, capsys, command, edit):
+        ckpt = tmp_path / "ckpt"
+        gan.save_checkpoint(gan.build(gan.GanConfig()), ckpt)
+        meta = edit(json.loads((ckpt / "gan.json").read_text()))
+        if isinstance(meta, str):
+            meta = meta.encode()
+        elif not isinstance(meta, bytes):
+            meta = json.dumps(meta).encode()
+        (ckpt / "gan.json").write_bytes(meta)
+        out = tmp_path / "out"
+        assert cli.main(self._checkpoint_argv(tmp_path, command, ckpt,
+                                              out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: gan.json ")
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.cluster.hierarchy import cophenet, linkage, to_tree
 from scipy.spatial.distance import squareform
@@ -16,6 +18,7 @@ from corrlab.samplers import (
     sample_onion,
     sample_regime,
 )
+import mc_reference
 
 
 def block_matrix(dim=10, within=0.8, between=0.1):
@@ -35,6 +38,28 @@ def equal_blocks(blocks, size, within=0.6, between=0.1):
         c[b * size:(b + 1) * size, b * size:(b + 1) * size] = within
     np.fill_diagonal(c, 1.0)
     return c
+
+
+def pam_input(kind, dim, seed):
+    """A dim x dim correlation matrix of the given kind.  "blocks" has equal
+    entries within and between random blocks, so many distances tie;
+    "duplicated" repeats columns of a smaller draw, so some distances are
+    exactly 0."""
+    g = np.random.Generator(np.random.PCG64(seed))
+    if kind == "regime":
+        regime = list(RegimeLabel)[seed % len(RegimeLabel)]
+        return sample_regime(regime, dim, seed=seed)
+    if kind == "onion":
+        return sample_onion(dim, 1.0, seed=seed)
+    if kind == "blocks":
+        label = g.integers(0, g.integers(1, 6), dim)
+        within, between = np.round(g.uniform(0.0, 0.9, 2), 1)
+        c = np.where(label[:, None] == label[None, :], within, between)
+        np.fill_diagonal(c, 1.0)
+        return c
+    base = sample_onion(max(2, dim // 3), 2.0, seed=seed)
+    idx = g.integers(0, base.shape[0], dim)
+    return base[np.ix_(idx, idx)]
 
 
 def scipy_tree(d):
@@ -341,6 +366,24 @@ class TestClustering:
     def test_tied_block_matrix_matches_loop_reference(self):
         self._assert_matches_reference(block_matrix())
         self._assert_matches_reference(block_matrix(12, 0.7, 0.2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["regime", "onion", "blocks", "duplicated"]),
+        st.integers(min_value=4, max_value=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_reference_forms_bit_for_bit(self, kind, dim, seed):
+        c = pam_input(kind, dim, seed)
+        d = facts.corr_distance(c)
+        for k in range(1, min(dim, 8)):
+            medoids, labels = facts._kmedoids(d, k)
+            ref_medoids, ref_labels = mc_reference.kmedoids(d, k)
+            assert np.array_equal(medoids, ref_medoids), k
+            assert np.array_equal(labels, ref_labels), k
+            assert facts._silhouette(d, labels) == mc_reference.silhouette(
+                d, labels), k
+        assert facts.cluster_separation(c) == mc_reference.cluster_separation(c)
 
     def test_silhouette_singleton_and_single_cluster(self):
         d = facts.corr_distance(block_matrix(6))

@@ -60,6 +60,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             GanConfig(arch="transformer")
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr_g", float("nan")), ("lr_g", float("inf")), ("lr_d", 0.0),
+        ("lr_d", True), ("epochs", True), ("noise_dim", 8.0),
+        ("d_steps_per_g", -1), ("seed", -1), ("dim", True),
+    ])
+    def test_rejects_bad_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            GanConfig(**{field: value})
+
+    def test_accepts_integer_learning_rate(self):
+        assert GanConfig(lr_g=1).lr_g == 1
+
 
 class TestTriangle:
     def test_round_trip(self):

@@ -10,6 +10,7 @@ from corrlab.facts import FEATURE_NAMES, FeatureVector
 from corrlab.mc import McConfig, SurrogateModel
 from corrlab.portfolio import RiskReport
 from corrlab.samplers import RegimeLabel, sample_regime
+import mc_reference
 from shapley_oracle import shapley_enumeration
 
 
@@ -67,6 +68,15 @@ class TestRun:
         cfg = McConfig(count_per_regime=2, dim=16, t_in=40, t_out=40, seed=1)
         with pytest.raises(TypeError, match="bug"):
             mc.run(cfg, generator_fn=broken_gen, threads=threads)
+
+    def test_records_match_reference_forms(self, tmp_path, monkeypatch):
+        cfg = McConfig(count_per_regime=5, dim=24, t_in=60, t_out=60, seed=29)
+        mc.write_records(mc.run(cfg), tmp_path / "records.ndjson")
+        mc_reference.install(monkeypatch)
+        mc.write_records(mc.run(cfg), tmp_path / "reference.ndjson")
+        assert mc.backtest_methods is mc_reference.backtest_methods
+        assert (tmp_path / "records.ndjson").read_bytes() == (
+            tmp_path / "reference.ndjson").read_bytes()
 
     def test_rejects_bad_count(self):
         with pytest.raises(InvalidInput):

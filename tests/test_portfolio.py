@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.cluster.hierarchy import linkage, to_tree
 from scipy.spatial.distance import squareform
 
@@ -7,6 +9,11 @@ from corrlab import portfolio
 from corrlab.exceptions import InvalidInput, NotPositiveDefinite
 from corrlab.facts import corr_distance
 from corrlab.samplers import RegimeLabel, sample_regime
+import mc_reference
+
+dims = st.integers(min_value=4, max_value=40)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+regimes = st.sampled_from(list(RegimeLabel))
 
 
 def rand_cov(dim, seed):
@@ -71,6 +78,17 @@ class TestWeights:
             portfolio.hrp_weights(cov), hrp_reference(cov), atol=1e-12
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(dims, seeds, regimes, st.integers(min_value=0, max_value=200))
+    def test_hrp_matches_reference_bisection(self, dim, seed, regime, extra):
+        # an in-sample covariance estimate, as backtest_methods fits it on
+        corr = sample_regime(regime, dim, seed=seed)
+        vols = portfolio.default_vols(dim, seed)
+        panel = portfolio.simulate_returns(corr, vols, dim + 2 + extra, seed)
+        cov = np.cov(panel, rowvar=False, ddof=1)
+        assert np.array_equal(portfolio.hrp_weights(cov),
+                              mc_reference.hrp_weights(cov))
+
     def test_hrp_properties(self):
         cov = rand_cov(12, 99)
         w = portfolio.hrp_weights(cov)
@@ -120,6 +138,17 @@ class TestSimulation:
         b = portfolio.simulate_returns(corr, np.full(4, 0.01), 10, seed=1)
         assert np.array_equal(a, b)
 
+    @settings(max_examples=30, deadline=None)
+    @given(dims, seeds, st.integers(min_value=2, max_value=300),
+           st.integers(min_value=0, max_value=3))
+    def test_matches_reference_form(self, dim, seed, t, stream):
+        corr = sample_regime(RegimeLabel.NORMAL, dim, seed=seed)
+        vols = portfolio.default_vols(dim, seed)
+        assert np.array_equal(
+            portfolio.simulate_returns(corr, vols, t, seed, stream),
+            mc_reference.simulate_returns(corr, vols, t, seed, stream),
+        )
+
     def test_rejects_bad_args(self):
         with pytest.raises(InvalidInput):
             portfolio.simulate_returns(np.eye(2), [0.01, 0.01], 1, seed=0)
@@ -132,6 +161,15 @@ def test_max_drawdown_oracle():
     path = np.array([0.1, -0.5, 0.25])
     assert portfolio.max_drawdown(path) == pytest.approx(0.5)
     assert portfolio.max_drawdown(np.array([0.1, 0.2])) == 0.0
+
+
+def test_max_drawdown_of_stacked_paths_is_per_row():
+    g = np.random.Generator(np.random.PCG64(3))
+    paths = g.normal(0.0, 0.02, (3, 500))
+    assert np.array_equal(
+        portfolio.max_drawdown(paths),
+        [portfolio.max_drawdown(p) for p in paths],
+    )
 
 
 def backtest_reference(corr, vols, method, t_in, t_out, seed):
@@ -160,6 +198,20 @@ class TestBacktest:
             ref = backtest_reference(corr, vols, m, 60, 80, seed=9)
             assert shared[m] == ref
             assert portfolio.backtest(corr, vols, m, 60, 80, seed=9) == ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims, seeds, regimes, st.integers(min_value=0, max_value=400),
+           st.integers(min_value=0, max_value=1000),
+           st.permutations(portfolio.METHODS))
+    def test_matches_reference_form(self, dim, seed, regime, extra_in,
+                                    extra_out, methods):
+        corr = sample_regime(regime, dim, seed=seed)
+        vols = portfolio.default_vols(dim, seed)
+        args = (corr, vols, methods, dim + 2 + extra_in, dim + 2 + extra_out,
+                seed)
+        got = portfolio.backtest_methods(*args)
+        assert list(got) == list(methods)
+        assert got == mc_reference.backtest_methods(*args)
 
     def test_report_fields(self):
         corr = sample_regime(RegimeLabel.NORMAL, 8, seed=1, stream=0)

@@ -71,3 +71,34 @@ def test_means_stay_in_their_sets(dim, seed, eta, count):
         res = geometry.mean(method, mats)
         assert res.converged
         assert validate(res.matrix).is_valid
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=40), seeds,
+    st.floats(min_value=0.05, max_value=20.0),
+    st.tuples(st.floats(min_value=0.05, max_value=20.0),
+              st.floats(min_value=0.05, max_value=20.0)),
+    st.tuples(st.floats(min_value=0.001, max_value=0.99), unit),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_every_sampler_draw_is_valid(dim, seed, eta, betas, factor, lam_seed):
+    # a spectrum of dim nonnegative eigenvalues summing to dim, some near 0
+    lam = np.random.Generator(np.random.PCG64(lam_seed)).uniform(size=dim) ** 3
+    lam *= dim / lam.sum()
+    lo, frac = factor
+    draws = {
+        "onion": samplers.sample_onion(dim, eta, seed=seed),
+        "cvine": samplers.sample_cvine(dim, *betas, seed=seed),
+        "spectrum": samplers.sample_with_spectrum(lam, seed=seed),
+        "factor": samplers.sample_one_factor(
+            dim, (lo, lo + frac * (0.999 - lo)), seed=seed),
+    }
+    for regime in samplers.REGIMES:
+        draws[regime.value] = samplers.sample_regime(regime, dim, seed=seed)
+    for name, c in draws.items():
+        rep = validate(c)
+        assert rep.is_valid, (name, rep.failures)
