@@ -263,7 +263,8 @@ def read_corpus(directory) -> LabeledCorpus:
     """Read an ECORP v1 container, verifying version, manifest and checksum.
 
     A malformed manifest (not JSON, a required key missing, a label count
-    other than ``count``, an unknown label or source) raises ``CorruptData``.
+    other than ``count``, an unknown label or source) or a non-finite
+    payload entry raises ``CorruptData``.
     """
     directory = Path(directory)
     try:
@@ -306,6 +307,9 @@ def read_corpus(directory) -> LabeledCorpus:
             f"payload size {len(payload)} != expected {expected}"
         )
     arr = np.frombuffer(payload, dtype="<f8").reshape(count, dim, dim)
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=(1, 2)))
+    if bad.size:
+        raise CorruptData(f"payload matrix {bad[0]} holds a non-finite entry")
     items = [
         CorpusItem(arr[i].copy(), labels[i], metas[i]) for i in range(count)
     ]

@@ -17,12 +17,19 @@ from itertools import combinations
 import numpy as np
 
 from . import rng
-from .exceptions import CorrlabError, InvalidInput, RankDeficient
+from .exceptions import (CorrlabError, CorruptData, InvalidInput,
+                         RankDeficient, UnsupportedVersion)
 from .facts import FEATURE_NAMES, FeatureVector, feature_vector
 from .portfolio import METHODS, RiskReport, backtest_methods, default_vols
 from .samplers import REGIMES, RegimeLabel, sample_regime
 
 RECORD_SCHEMA_VERSION = 1
+_RECORD_KEYS = ("regime", "features", "reports", "seed", "stream")
+_REPORT_KEYS = ("in_sample_vol", "out_sample_vol", "max_drawdown")
+
+
+def _is_number(x) -> bool:
+    return type(x) in (int, float)
 
 
 @dataclass
@@ -63,17 +70,41 @@ class McRecord:
 
     @classmethod
     def from_json(cls, d) -> "McRecord":
+        """Inverse of :meth:`to_json`.  ``UnsupportedVersion`` for another
+        ``schema``; ``CorruptData`` for anything but an object holding a
+        known regime, every feature as a number or null, a report of three
+        numbers for each method and integer ``seed`` and ``stream``."""
+        if not isinstance(d, dict):
+            raise CorruptData("a record must be a JSON object")
         if d.get("schema") != RECORD_SCHEMA_VERSION:
-            raise InvalidInput(f"unsupported record schema {d.get('schema')}")
+            raise UnsupportedVersion(
+                f"unsupported record schema {d.get('schema')!r}")
+        missing = [k for k in _RECORD_KEYS if k not in d]
+        if missing:
+            raise CorruptData(f"record is missing {', '.join(missing)}")
+        try:
+            regime = RegimeLabel(d["regime"])
+        except ValueError as exc:
+            raise CorruptData(f"record: {exc}") from None
+        feats, reports = d["features"], d["reports"]
+        if not (isinstance(feats, dict) and set(feats) == set(FEATURE_NAMES)
+                and all(v is None or _is_number(v) for v in feats.values())):
+            raise CorruptData("record features must map each feature name "
+                              "to a number or null")
+        if not (isinstance(reports, dict) and set(reports) == set(METHODS)
+                and all(isinstance(r, dict) and set(r) == set(_REPORT_KEYS)
+                        and all(map(_is_number, r.values()))
+                        for r in reports.values())):
+            raise CorruptData(f"record reports must give each of {METHODS} "
+                              f"numbers for {_REPORT_KEYS}")
+        if not all(type(d[k]) is int for k in ("seed", "stream")):
+            raise CorruptData("record seed and stream must be integers")
         return cls(
-            regime=RegimeLabel(d["regime"]),
+            regime=regime,
             features=FeatureVector(**{
-                k: np.nan if d["features"][k] is None else d["features"][k]
-                for k in FEATURE_NAMES
+                k: np.nan if v is None else v for k, v in feats.items()
             }),
-            reports={
-                m: RiskReport(**d["reports"][m]) for m in d["reports"]
-            },
+            reports={m: RiskReport(**r) for m, r in reports.items()},
             seed=d["seed"],
             stream=d["stream"],
         )
@@ -149,12 +180,20 @@ def write_records(records, path):
 
 
 def read_records(path) -> list[McRecord]:
+    """Read an NDJSON records file; a bad line raises ``CorruptData`` (or
+    ``UnsupportedVersion``) naming its number."""
     out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
                 out.append(McRecord.from_json(json.loads(line)))
+            except (CorruptData, UnsupportedVersion) as exc:
+                raise type(exc)(f"{path} line {number}: {exc}") from None
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise CorruptData(
+                    f"{path} line {number} is not JSON: {exc}") from None
     return out
 
 

@@ -490,14 +490,40 @@ def save_network(net: Network, directory, extra=None, seed=None, step=0):
 
 
 def load_network(directory, dtype=np.float32):
+    """Read an NNCK v1 checkpoint.  ``CorruptData`` when ``model.json`` is
+    not a JSON object holding a ``weights_sha256`` that matches the
+    payload, an ``input_shape`` list of positive integers and a ``layers``
+    list of layer specs that build a network on that input, or when the
+    payload does not fill that network."""
     directory = Path(directory)
-    model = json.loads((directory / "model.json").read_text())
+    try:
+        model = json.loads((directory / "model.json").read_bytes())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise CorruptData(f"model.json is not JSON: {exc}") from None
+    if not isinstance(model, dict):
+        raise CorruptData("model.json must hold a JSON object")
     if model.get("format") != "NNCK" or model.get("version") != 1:
         raise CorruptData("not an NNCK v1 checkpoint")
+    digest, shape, specs = (model.get(k) for k in
+                            ("weights_sha256", "input_shape", "layers"))
+    if not isinstance(digest, str):
+        raise CorruptData("model.json weights_sha256 must be a string")
+    if not (isinstance(shape, list) and shape
+            and all(type(d) is int and d > 0 for d in shape)):
+        raise CorruptData(f"model.json input_shape must be a list of "
+                          f"positive integers, not {shape!r}")
+    if not (isinstance(specs, list) and all(isinstance(s, dict)
+                                            for s in specs)):
+        raise CorruptData("model.json layers must be a list of objects")
     blob = (directory / "weights.f32le").read_bytes()
-    if hashlib.sha256(blob).hexdigest() != model["weights_sha256"]:
+    if hashlib.sha256(blob).hexdigest() != digest:
         raise CorruptData("weights checksum mismatch")
-    net = Network.from_specs(model["layers"], model["input_shape"], dtype=dtype)
+    try:
+        net = Network.from_specs(specs, shape, dtype=dtype)
+    except (ConfigError, InvalidInput, ShapeError, KeyError, TypeError,
+            ValueError) as exc:
+        raise CorruptData(
+            f"model.json layers do not build a network: {exc}") from None
     net.load_weight_bytes(blob)
     return net, model
 

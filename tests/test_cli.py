@@ -333,6 +333,85 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: _without(m, "layers"),
+        lambda m: _without(m, "input_shape"),
+        lambda m: _without(m, "weights_sha256"),
+        lambda m: m["layers"][0].update(n_out="x"),
+        lambda m: m["layers"][1].update(alpha=5),
+    ], ids=["no-layers", "no-input-shape", "no-weights-sha256",
+            "string-n-out", "alpha-5"])
+    def test_corrupt_model_json(self, tmp_path, capsys, edit):
+        ckpt = tmp_path / "ckpt"
+        gan.save_checkpoint(gan.build(gan.GanConfig()), ckpt)
+        path = ckpt / "generator" / "model.json"
+        model = json.loads(path.read_text())
+        path.write_text(json.dumps(edit(model) or model))
+        out = tmp_path / "out"
+        assert cli.main(["generate", "--ckpt", str(ckpt), "--regime", "rally",
+                         "--count", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: model.json ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, kind", [
+        (lambda r: _without(r, "features"), "record is missing features"),
+        (lambda r: [r], "a record must be a JSON object"),
+        (lambda r: "{not json", "is not JSON"),
+        (lambda r: {**r, "schema": 9}, "unsupported record schema 9"),
+        (lambda r: {**r, "regime": "calm"}, "record: 'calm'"),
+        (lambda r: {**r, "reports": {**r["reports"], "mv": r["reports"]["ew"]}},
+         "record reports"),
+        (lambda r: {**r, "reports": {**r["reports"], "hrp": {
+            **r["reports"]["hrp"], "in_sample_vol": "x"}}}, "record reports"),
+        (lambda r: {**r, "features": {**r["features"], "mean_corr": "x"}},
+         "record features"),
+        (lambda r: {**r, "seed": 1.0}, "record seed"),
+    ], ids=["no-features", "list", "not-json", "schema-9", "unknown-regime",
+            "unknown-method", "string-report-value", "string-feature",
+            "float-seed"])
+    def test_malformed_records(self, tmp_path, capsys, edit, kind):
+        path = tmp_path / "records.ndjson"
+        mc.write_records(mc.run(mc.McConfig(count_per_regime=1, dim=8,
+                                            t_in=40, t_out=40)), path)
+        lines = path.read_text().splitlines()
+        bad = edit(json.loads(lines[1]))
+        lines[1] = bad if isinstance(bad, str) else json.dumps(bad)
+        path.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "findings.json"
+        assert cli.main(["mc", "findings", "--records", str(path),
+                         "--report", str(report)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {path} line 2")
+        assert kind in err
+        assert err.count("\n") == 1
+        assert not report.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_corpus(self, tmp_path, capsys, bad):
+        corpus.write_corpus(corpus.build_surrogate(4, 16, seed=1),
+                            tmp_path / "real")
+        synth = tmp_path / "synth"
+        corpus.write_corpus(corpus.build_surrogate(2, 16, seed=2), synth)
+        payload = np.fromfile(synth / "matrices.f64le", dtype="<f8")
+        payload[256 + 17] = bad  # matrix 1, entry (1, 1)
+        payload.tofile(synth / "matrices.f64le")
+        manifest = json.loads((synth / "manifest.json").read_text())
+        manifest["payload_sha256"] = hashlib.sha256(
+            payload.tobytes()).hexdigest()
+        (synth / "manifest.json").write_text(json.dumps(manifest))
+        report = tmp_path / "eval.json"
+        for argv in (["evaluate", "--real", str(tmp_path / "real"),
+                      "--synth", str(synth), "--report", str(report)],
+                     ["corpus", "inspect", str(synth)]):
+            assert cli.main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.err == ("error: data: payload matrix 1 holds a "
+                                    "non-finite entry\n")
+            assert captured.out == ""
+        assert not report.exists()
+
     def test_evaluate_one_matrix_per_regime(self, tmp_path, capsys):
         # the holdout takes the only real matrix of each regime
         corpus.write_corpus(corpus.build_surrogate(1, 16, seed=1),
@@ -351,13 +430,42 @@ class TestExitCodes:
 
 
 def test_import_loads_no_scipy():
-    # scipy is loaded on first use only (the exact W2 assignment), so the
-    # CLI starts without paying for it
+    # no module of the program imports scipy, so the CLI starts without
+    # paying for it
     code = ("import sys, corrlab.cli; print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, check=True)
     assert r.stdout.strip() == "[]"
+
+
+def test_repro_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: a whole repro, exact W2 included,
+    # runs with every scipy import refused, and writes the same bytes
+    cfg = with_changes("gan", epochs=1)
+    cfg["corpus"]["count_per_regime"] = 6
+    cfg["generate"]["count_per_regime"] = 3
+    cfg["mc"]["t_in"] = cfg["mc"]["t_out"] = 60
+    repro(tmp_path, cfg, tmp_path / "ref")
+    code = """if True:
+        import sys
+        from importlib.abc import MetaPathFinder
+
+        class NoScipy(MetaPathFinder):
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy" or name.startswith("scipy."):
+                    raise ImportError(f"{name} refused")
+
+        sys.meta_path.insert(0, NoScipy())
+        from corrlab import cli
+        sys.exit(cli.main(sys.argv[1:]))
+    """
+    out = tmp_path / "out"
+    r = subprocess.run([sys.executable, "-c", code, "repro", "--config",
+                        str(tmp_path / "repro.json"), "--out", str(out)],
+                       capture_output=True, text=True)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert tree(out) == tree(tmp_path / "ref")
 
 
 class TestSampleAndInspect:

@@ -2,6 +2,9 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment  # the oracle, tests only
 
 from corrlab import corpus, evaluation
 from corrlab.exceptions import DegenerateBasis, InvalidInput
@@ -106,6 +109,53 @@ class TestWasserstein:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
             evaluation.wasserstein2(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+def squared_costs(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sum(diff * diff, axis=2)
+
+
+def cloud_pair(kind, n, seed):
+    g = np.random.Generator(np.random.PCG64(seed))
+    if kind == "gaussian":
+        return g.standard_normal((2, n, 2))
+    if kind == "grid":  # integer points: many tied costs
+        return g.integers(0, 4, (2, n, 2)).astype(float)
+    # each cloud repeats a few distinct points
+    a, b = g.standard_normal((2, max(1, n // 4), 2))
+    return a[g.integers(0, len(a), n)], b[g.integers(0, len(b), n)]
+
+
+class TestAssignment:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 64),
+           kind=st.sampled_from(["gaussian", "grid", "duplicated"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_optimal_permutation(self, n, kind, seed):
+        cost = squared_costs(*cloud_pair(kind, n, seed))
+        cols = evaluation._assignment(cost)
+        assert sorted(cols.tolist()) == list(range(n))
+        rows, best = linear_sum_assignment(cost)
+        total, optimum = cost[np.arange(n), cols].sum(), cost[rows, best].sum()
+        assert abs(total - optimum) <= 1e-12 * optimum
+
+    @pytest.mark.parametrize("n", [12, 100, 300])
+    def test_w2_bit_identical_to_scipy(self, n):
+        a, b = cloud_pair("gaussian", n, seed=n)
+        cost = squared_costs(a, b)
+        rows, cols = linear_sum_assignment(cost)
+        assert (evaluation.wasserstein2(a, b).value
+                == float(np.sqrt(cost[rows, cols].mean())))
+
+    @pytest.mark.parametrize("n", [10, 600])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, n, bad):
+        a, b = cloud_pair("gaussian", n, seed=4)
+        b[n // 2, 1] = bad
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(InvalidInput, match="finite"):
+                evaluation.wasserstein2(*pair)
 
 
 class TestDistanceStats:

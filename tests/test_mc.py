@@ -5,7 +5,8 @@ import pytest
 
 from corrlab import mc
 from corrlab import rng
-from corrlab.exceptions import InvalidInput, NotPositiveDefinite, RankDeficient
+from corrlab.exceptions import (InvalidInput, NotPositiveDefinite,
+                                RankDeficient, UnsupportedVersion)
 from corrlab.facts import FEATURE_NAMES, FeatureVector
 from corrlab.mc import McConfig, SurrogateModel
 from corrlab.portfolio import RiskReport
@@ -107,7 +108,7 @@ class TestRecords:
                                       np.delete(features, 3))
 
     def test_schema_check(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(UnsupportedVersion):
             mc.McRecord.from_json({"schema": 2})
 
     def test_gap_property(self):

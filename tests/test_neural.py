@@ -199,7 +199,8 @@ class TestLeakyReLU:
         model = json.loads((tmp_path / "model.json").read_text())
         model["layers"] = spec
         (tmp_path / "model.json").write_text(json.dumps(model))
-        with pytest.raises(ConfigError, match="alpha"):
+        # a checkpoint's bad spec is bad data
+        with pytest.raises(CorruptData, match="alpha"):
             neural.load_network(tmp_path)
 
 
