@@ -42,8 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, core, evaluation, gan, geometry, mc, portfolio, rng
-from . import corpus as corpus_mod
+from . import __version__, checked, core, evaluation, gan, geometry, mc
+from . import corpus as corpus_mod, portfolio, rng
 from .exceptions import (
     ConfigError,
     CorrlabError,
@@ -65,9 +65,10 @@ from .samplers import (
     sample_with_spectrum,
 )
 
+# a writer raises FileNotFoundError for an --out in a missing directory
 _DATA_ERRORS = (
     ParseError, CorruptData, UnsupportedVersion, DegenerateColumn,
-    FileNotFoundError, json.JSONDecodeError,
+    FileNotFoundError,
 )
 
 
@@ -86,15 +87,14 @@ def _write_json(path, payload):
 
 def _read_matrix_csv(path) -> np.ndarray:
     rows = []
-    with open(path) as fh:
-        for r, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(x) for x in line.split(",")])
-            except ValueError:
-                raise ParseError(f"non-numeric cell at row {r}", row=r)
+    for r, line in enumerate(checked.read_text(path).splitlines()):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rows.append([float(x) for x in line.split(",")])
+        except ValueError:
+            raise ParseError(f"non-numeric cell at row {r}", row=r)
     if not rows or any(len(row) != len(rows[0]) for row in rows):
         raise ParseError("matrix rows must be non-empty and equal length")
     return np.asarray(rows)
@@ -388,8 +388,8 @@ def _surrogate_report(records, target, prov):
 
 
 def cmd_train(args):
-    cfg_bytes = Path(args.config).read_bytes()
-    config = _gan_config(json.loads(cfg_bytes))
+    cfg_bytes = checked.read_bytes(args.config)
+    config = _gan_config(checked.parse_json(cfg_bytes, args.config))
     _train(config, args.corpus, args.out, _provenance(cfg_bytes, config.seed))
 
 
@@ -411,7 +411,7 @@ def cmd_evaluate(args):
 
 
 def cmd_mc_run(args):
-    cfg = json.loads(Path(args.config).read_bytes())
+    cfg = checked.read_json(args.config)
     config = _mc_config(cfg)
     gen_fn = None
     if cfg.get("generator", "checkpoint") != "checkpoint":
@@ -470,7 +470,7 @@ def _check_repro_config(cfg):
 
 
 def cmd_repro(args):
-    cfg = json.loads(Path(args.config).read_bytes())
+    cfg = checked.read_json(args.config)
     _check_repro_config(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -490,8 +490,8 @@ def cmd_repro(args):
         deleted before the rebuild, so an interrupted rebuild never passes
         for a finished one."""
         try:
-            old = json.loads(marker.read_text())
-        except (OSError, ValueError):
+            old = checked.read_json(marker)
+        except CorruptData:
             old = None
         if (not args.force and isinstance(old, dict)
                 and prov in (old, old.get("provenance"))

@@ -23,13 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import checked
 from .core import is_correlation, nearest_correlation, symmetrize
 from .exceptions import (
     CorruptData,
     DegenerateColumn,
     InvalidInput,
     ParseError,
-    UnsupportedVersion,
 )
 from .samplers import DEFAULT_REGIME_PARAMS, REGIMES, RegimeLabel, sample_regime
 
@@ -79,35 +79,23 @@ class LabeledCorpus:
 
 def read_returns_csv(path):
     """Read a T x d returns CSV with a header row of asset names."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty returns file")
-        rows = []
-        for r, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ParseError(f"row {r} has {len(row)} cells", row=r)
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError:
-                bad = next(i for i, x in enumerate(row) if not _is_float(x))
-                raise ParseError(
-                    f"non-numeric cell at row {r}, column {bad}",
-                    row=r,
-                    col=bad,
-                )
-    return header, np.asarray(rows, dtype=np.float64)
-
-
-def _is_float(x):
+    reader = csv.reader(checked.read_text(path).splitlines())
     try:
-        float(x)
-        return True
-    except ValueError:
-        return False
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty returns file")
+    rows = []
+    for r, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise ParseError(f"row {r} has {len(row)} cells", row=r)
+        for c, x in enumerate(row):
+            try:
+                row[c] = float(x)
+            except ValueError:
+                raise ParseError(f"non-numeric cell at row {r}, column {c}",
+                                 row=r, col=c) from None
+        rows.append(row)
+    return header, np.asarray(rows, dtype=np.float64)
 
 
 def window_count(t: int, window: WindowSpec) -> int:
@@ -256,37 +244,21 @@ def write_corpus(corp: LabeledCorpus, directory):
     )
 
 
-_MANIFEST_KEYS = ("dim", "count", "labels", "source", "payload_sha256")
-
-
 def read_corpus(directory) -> LabeledCorpus:
     """Read an ECORP v1 container, verifying version, manifest and checksum.
 
-    A malformed manifest (not JSON, a required key missing, a label count
-    other than ``count``, an unknown label or source) or a non-finite
-    payload entry raises ``CorruptData``.
+    A malformed manifest (not JSON, a required key missing or mistyped, a
+    label count other than ``count``, an unknown label or source) or a
+    non-finite payload entry raises ``CorruptData``.
     """
     directory = Path(directory)
-    try:
-        manifest = json.loads((directory / "manifest.json").read_text())
-    except FileNotFoundError:
-        raise CorruptData(f"no manifest.json in {directory}")
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise CorruptData(f"manifest.json is not JSON: {exc}")
-    if not isinstance(manifest, dict):
-        raise CorruptData("manifest.json is not a JSON object")
-    if manifest.get("format") != "ECORP" or manifest.get("version") != ECORP_VERSION:
-        raise UnsupportedVersion(
-            f"unsupported container version {manifest.get('version')!r}"
-        )
-    missing = [k for k in _MANIFEST_KEYS if k not in manifest]
-    if missing:
-        raise CorruptData(f"manifest is missing {', '.join(missing)}")
-    dim, count = manifest["dim"], manifest["count"]
-    if not all(type(v) is int and v >= 0 for v in (dim, count)):
-        raise CorruptData(f"bad dim {dim!r} or count {count!r} in manifest")
-    labels = manifest["labels"]
-    metas = manifest.get("item_meta") or [{} for _ in range(count)]
+    manifest = checked.read_object(
+        directory / "manifest.json", "manifest.json",
+        {"format": "ECORP", "version": ECORP_VERSION}, dim=checked.is_count,
+        count=checked.is_count, labels=checked.is_list,
+        source=checked.is_str, payload_sha256=checked.is_str)
+    dim, count, labels = manifest["dim"], manifest["count"], manifest["labels"]
+    metas = manifest.get("item_meta") or [{} for _ in labels]
     for key, value in (("labels", labels), ("item_meta", metas)):
         if not isinstance(value, list) or len(value) != count:
             raise CorruptData(f"manifest {key} does not list {count} items")
@@ -295,10 +267,7 @@ def read_corpus(directory) -> LabeledCorpus:
         source = CorpusSource(manifest["source"])
     except ValueError as exc:
         raise CorruptData(f"manifest: {exc}")
-    try:
-        payload = (directory / "matrices.f64le").read_bytes()
-    except FileNotFoundError:
-        raise CorruptData(f"no matrices.f64le in {directory}")
+    payload = checked.read_bytes(directory / "matrices.f64le")
     if hashlib.sha256(payload).hexdigest() != manifest["payload_sha256"]:
         raise CorruptData("payload checksum mismatch")
     expected = count * dim * dim * 8

@@ -76,7 +76,7 @@ class UnsupportedVersion(CorrlabError):
 
 
 class CorruptData(CorrlabError):
-    """Checksum or size mismatch while reading a container."""
+    """An input file cannot be read, decoded or parsed, or breaks its format."""
 
 
 class RankDeficient(CorrlabError):

@@ -450,7 +450,7 @@ def feature_vector(c) -> FeatureVector:
 
     w, v = np.linalg.eigh(c)
     eig1_share = float(w[-1]) / n
-    ntop = max(1, int(np.ceil(0.05 * n)))
+    ntop = max(2, int(np.ceil(0.05 * n)))  # one would repeat eig1_share
     top_share = float(np.sum(w[-ntop:])) / n
 
     v1 = v[:, -1]

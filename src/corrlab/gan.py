@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import neural, rng
+from . import checked, neural, rng
 from .core import nearest_correlation
 from .corpus import LabeledCorpus
 from .exceptions import (ConfigError, CorruptData, InvalidInput,
@@ -39,14 +39,6 @@ _SUPPORTED_DIMS = (16, 32, 80)
 # row k is the one-hot code of REGIMES[k] (read-only: every caller shares it)
 _ONE_HOT = np.eye(len(REGIMES), dtype=np.float32)
 _ONE_HOT.flags.writeable = False
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass
@@ -66,16 +58,16 @@ class GanConfig:
         for name, low in (("noise_dim", 1), ("epochs", 1), ("batch_size", 8),
                           ("d_steps_per_g", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not _is_int(value) or value < low:
+            if not checked.is_int(value) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, "
                                   f"not {value!r}")
-        if not _is_int(self.dim) or self.dim not in _SUPPORTED_DIMS:
+        if not checked.is_int(self.dim) or self.dim not in _SUPPORTED_DIMS:
             raise ConfigError(f"dim must be one of {_SUPPORTED_DIMS}")
         if self.arch not in ("dense", "conv"):
             raise ConfigError("arch must be 'dense' or 'conv'")
         for name in ("lr_g", "lr_d"):
             value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value) and value > 0):
+            if not (checked.is_number(value) and 0 < value < math.inf):
                 raise ConfigError(f"{name} must be a finite number > 0, "
                                   f"not {value!r}")
 
@@ -397,6 +389,13 @@ def save_checkpoint(ckpt: GanCheckpoint, directory):
     )
 
 
+_is_loss_history = checked.predicate(
+    "a list of [generator, discriminator] loss pairs",
+    lambda x: isinstance(x, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(map(checked.is_number, p))
+        for p in x))
+
+
 def load_checkpoint(directory) -> GanCheckpoint:
     """Read a checkpoint.  ``CorruptData`` when ``gan.json`` is not a JSON
     object holding a ``config`` object with only the keys and values that
@@ -406,41 +405,22 @@ def load_checkpoint(directory) -> GanCheckpoint:
     regimes stays a ``ConfigError``: that checkpoint is whole, but made for
     another regime set."""
     directory = Path(directory)
-    try:
-        meta = json.loads((directory / "gan.json").read_bytes())
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise CorruptData(f"gan.json is not JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise CorruptData("gan.json must hold a JSON object")
-    cfg = meta.get("config")
-    if not isinstance(cfg, dict):
-        raise CorruptData("gan.json config must be a JSON object")
-    unknown = GanConfig.unknown_keys(cfg)
+    meta = checked.read_object(
+        directory / "gan.json", "gan.json", config=checked.is_object,
+        epoch=checked.is_count, loss_history=_is_loss_history,
+        mode_collapse_flag=checked.is_bool)
+    unknown = GanConfig.unknown_keys(meta["config"])
     if unknown:
         raise CorruptData(f"gan.json config holds unknown keys {unknown}")
-    kwargs = GanConfig._fields_of(cfg)
+    kwargs = GanConfig._fields_of(meta["config"])
     try:
         config = GanConfig(**kwargs)
     except ConfigError as exc:
         raise CorruptData(f"gan.json config: {exc}") from None
-    epoch = meta.get("epoch")
-    if not _is_int(epoch) or epoch < 0:
-        raise CorruptData(f"gan.json epoch must be an integer >= 0, "
-                          f"not {epoch!r}")
-    history = meta.get("loss_history")
-    if not (isinstance(history, list) and all(
-            isinstance(x, list) and len(x) == 2 and all(map(_is_number, x))
-            for x in history)):
-        raise CorruptData("gan.json loss_history must be a list of "
-                          "[generator, discriminator] loss pairs")
-    flag = meta.get("mode_collapse_flag")
-    if not isinstance(flag, bool):
-        raise CorruptData(f"gan.json mode_collapse_flag must be true or "
-                          f"false, not {flag!r}")
     gen, _ = neural.load_network(directory / "generator")
     disc, _ = neural.load_network(directory / "discriminator")
     return GanCheckpoint(
-        config, gen, disc, epoch=epoch,
-        loss_history=[tuple(x) for x in history],
-        mode_collapse_flag=flag,
+        config, gen, disc, epoch=meta["epoch"],
+        loss_history=[tuple(x) for x in meta["loss_history"]],
+        mode_collapse_flag=meta["mode_collapse_flag"],
     )

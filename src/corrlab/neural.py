@@ -36,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import checked
 from .exceptions import (
     ConfigError,
     CorruptData,
@@ -50,13 +51,17 @@ from .exceptions import (
 
 
 class Layer:
-    """Base layer: stateless apart from parameters."""
+    """Base layer: stateless apart from parameters.  Its NNCK spec holds
+    ``kind`` and each attribute named in ``args``, the constructor's
+    leading arguments, so the spec rebuilds the layer."""
+
+    kind, args = None, ()
 
     def params(self) -> dict:
         return {}
 
     def spec(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, **{a: getattr(self, a) for a in self.args}}
 
     def out_shape(self, in_shape):
         raise NotImplementedError
@@ -77,6 +82,8 @@ def _glorot(rng, fan_in, fan_out, shape, dtype):
 
 
 class Dense(Layer):
+    kind, args = "dense", ("n_in", "n_out")
+
     def __init__(self, n_in, n_out, rng=None, dtype=np.float32):
         self.n_in, self.n_out = n_in, n_out
         if rng is None:
@@ -87,9 +94,6 @@ class Dense(Layer):
 
     def params(self):
         return {"w": self.w, "b": self.b}
-
-    def spec(self):
-        return {"kind": "dense", "n_in": self.n_in, "n_out": self.n_out}
 
     def out_shape(self, in_shape):
         if in_shape != (self.n_in,):
@@ -113,8 +117,7 @@ class _Activation(Layer):
 
 
 class ReLU(_Activation):
-    def spec(self):
-        return {"kind": "relu"}
+    kind = "relu"
 
     def forward(self, x):
         return np.maximum(x, 0), x
@@ -133,15 +136,14 @@ class LeakyReLU(_Activation):
     ``alpha = 0`` is refused because ``0 * inf`` is NaN where the select
     keeps ``inf``; :class:`ReLU` is that layer."""
 
+    kind, args = "leaky_relu", ("alpha",)
+
     def __init__(self, alpha=0.2):
         if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
                 or not 0 < alpha <= 1):
             raise ConfigError(f"leaky_relu alpha must be a number in (0, 1], "
                               f"not {alpha!r}")
         self.alpha = alpha
-
-    def spec(self):
-        return {"kind": "leaky_relu", "alpha": self.alpha}
 
     def forward(self, x):
         return np.maximum(self.alpha * x, x), x
@@ -152,8 +154,7 @@ class LeakyReLU(_Activation):
 
 
 class Tanh(_Activation):
-    def spec(self):
-        return {"kind": "tanh"}
+    kind = "tanh"
 
     def forward(self, x):
         y = np.tanh(x)
@@ -164,8 +165,7 @@ class Tanh(_Activation):
 
 
 class Sigmoid(_Activation):
-    def spec(self):
-        return {"kind": "sigmoid"}
+    kind = "sigmoid"
 
     def forward(self, x):
         y = 1.0 / (1.0 + np.exp(-x))
@@ -176,8 +176,7 @@ class Sigmoid(_Activation):
 
 
 class Flatten(Layer):
-    def spec(self):
-        return {"kind": "flatten"}
+    kind = "flatten"
 
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
@@ -190,11 +189,10 @@ class Flatten(Layer):
 
 
 class Reshape(Layer):
+    kind, args = "reshape", ("shape",)
+
     def __init__(self, shape):
         self.shape = tuple(shape)
-
-    def spec(self):
-        return {"kind": "reshape", "shape": list(self.shape)}
 
     def out_shape(self, in_shape):
         if int(np.prod(in_shape)) != int(np.prod(self.shape)):
@@ -240,28 +238,32 @@ def _col2im(cols, x_shape, kh, kw, stride, pad):
     return xp
 
 
-class Conv2D(Layer):
+class _Conv(Layer):
+    """The parameters and spec of a convolution; ``transposed`` puts the
+    weight's input-channel axis first."""
+
+    args = ("in_ch", "out_ch", "kernel", "stride", "pad")
+    transposed = False
+
     def __init__(self, in_ch, out_ch, kernel, stride=1, pad=0, rng=None,
                  dtype=np.float32):
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride, self.pad = kernel, stride, pad
-        fan_in = in_ch * kernel * kernel
-        fan_out = out_ch * kernel * kernel
-        shape = (out_ch, in_ch, kernel, kernel)
+        channels = (in_ch, out_ch) if self.transposed else (out_ch, in_ch)
+        shape = channels + (kernel, kernel)
         if rng is None:
             self.w = np.zeros(shape, dtype=dtype)
         else:
-            self.w = _glorot(rng, fan_in, fan_out, shape, dtype)
+            self.w = _glorot(rng, in_ch * kernel * kernel,
+                             out_ch * kernel * kernel, shape, dtype)
         self.b = np.zeros(out_ch, dtype=dtype)
 
     def params(self):
         return {"w": self.w, "b": self.b}
 
-    def spec(self):
-        return {
-            "kind": "conv2d", "in_ch": self.in_ch, "out_ch": self.out_ch,
-            "kernel": self.kernel, "stride": self.stride, "pad": self.pad,
-        }
+
+class Conv2D(_Conv):
+    kind = "conv2d"
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
@@ -295,29 +297,8 @@ class Conv2D(Layer):
         return _col2im(dcols, x_shape, k, k, s, p), grads
 
 
-class ConvTranspose2D(Layer):
-    def __init__(self, in_ch, out_ch, kernel, stride=1, pad=0, rng=None,
-                 dtype=np.float32):
-        self.in_ch, self.out_ch = in_ch, out_ch
-        self.kernel, self.stride, self.pad = kernel, stride, pad
-        fan_in = in_ch * kernel * kernel
-        fan_out = out_ch * kernel * kernel
-        shape = (in_ch, out_ch, kernel, kernel)
-        if rng is None:
-            self.w = np.zeros(shape, dtype=dtype)
-        else:
-            self.w = _glorot(rng, fan_in, fan_out, shape, dtype)
-        self.b = np.zeros(out_ch, dtype=dtype)
-
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def spec(self):
-        return {
-            "kind": "conv_transpose2d", "in_ch": self.in_ch,
-            "out_ch": self.out_ch, "kernel": self.kernel,
-            "stride": self.stride, "pad": self.pad,
-        }
+class ConvTranspose2D(_Conv):
+    kind, transposed = "conv_transpose2d", True
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
@@ -359,21 +340,9 @@ class ConvTranspose2D(Layer):
         return np.einsum("cf,nfl->ncl", w2, dcols).reshape(x.shape), grads
 
 
-_LAYER_KINDS = {
-    "dense": lambda s, **kw: Dense(s["n_in"], s["n_out"], **kw),
-    "relu": lambda s, **kw: ReLU(),
-    "leaky_relu": lambda s, **kw: LeakyReLU(s["alpha"]),
-    "tanh": lambda s, **kw: Tanh(),
-    "sigmoid": lambda s, **kw: Sigmoid(),
-    "flatten": lambda s, **kw: Flatten(),
-    "reshape": lambda s, **kw: Reshape(s["shape"]),
-    "conv2d": lambda s, **kw: Conv2D(
-        s["in_ch"], s["out_ch"], s["kernel"], s["stride"], s["pad"], **kw
-    ),
-    "conv_transpose2d": lambda s, **kw: ConvTranspose2D(
-        s["in_ch"], s["out_ch"], s["kernel"], s["stride"], s["pad"], **kw
-    ),
-}
+_LAYER_KINDS = {cls.kind: cls for cls in (
+    Dense, ReLU, LeakyReLU, Tanh, Sigmoid, Flatten, Reshape, Conv2D,
+    ConvTranspose2D)}
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +429,19 @@ class Network:
 
     @classmethod
     def from_specs(cls, specs, input_shape, rng=None, dtype=np.float32):
-        layers = []
-        for s in specs:
-            kind = s.get("kind")
-            if kind not in _LAYER_KINDS:
-                raise ConfigError(f"unknown layer kind {kind!r}")
-            layers.append(_LAYER_KINDS[kind](s, rng=rng, dtype=dtype))
-        return cls(layers, input_shape)
+        return cls(_layers(specs, rng, dtype), input_shape)
+
+
+def _layers(specs, rng, dtype):
+    layers = []
+    for s in specs:
+        cls = _LAYER_KINDS.get(s.get("kind"))
+        if cls is None:
+            raise ConfigError(f"unknown layer kind {s.get('kind')!r}")
+        weighted = issubclass(cls, (Dense, _Conv))
+        kw = {"rng": rng, "dtype": dtype} if weighted else {}
+        layers.append(cls(*(s[a] for a in cls.args), **kw))
+    return layers
 
 
 def save_network(net: Network, directory, extra=None, seed=None, step=0):
@@ -489,39 +464,39 @@ def save_network(net: Network, directory, extra=None, seed=None, step=0):
     (directory / "weights.f32le").write_bytes(blob)
 
 
+_is_shape = checked.predicate(
+    "a non-empty list of positive integers",
+    lambda x: isinstance(x, list) and x and all(checked.is_int(d) and d > 0
+                                                for d in x))
+_is_specs = checked.predicate(
+    "a list of objects",
+    lambda x: isinstance(x, list) and all(map(checked.is_object, x)))
+
+
 def load_network(directory, dtype=np.float32):
-    """Read an NNCK v1 checkpoint.  ``CorruptData`` when ``model.json`` is
-    not a JSON object holding a ``weights_sha256`` that matches the
-    payload, an ``input_shape`` list of positive integers and a ``layers``
-    list of layer specs that build a network on that input, or when the
-    payload does not fill that network."""
+    """Read an NNCK v1 checkpoint.  ``UnsupportedVersion`` unless
+    ``model.json`` is tagged NNCK v1; ``CorruptData`` unless it is a JSON
+    object holding a ``weights_sha256`` that matches the payload, an
+    ``input_shape`` list of positive integers and a ``layers`` list of
+    layer specs that build a network on that input, and unless the payload
+    fills that network.  The payload size is checked before the network's
+    parameters are gathered, so a spec cannot make it allocate more."""
     directory = Path(directory)
-    try:
-        model = json.loads((directory / "model.json").read_bytes())
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise CorruptData(f"model.json is not JSON: {exc}") from None
-    if not isinstance(model, dict):
-        raise CorruptData("model.json must hold a JSON object")
-    if model.get("format") != "NNCK" or model.get("version") != 1:
-        raise CorruptData("not an NNCK v1 checkpoint")
-    digest, shape, specs = (model.get(k) for k in
-                            ("weights_sha256", "input_shape", "layers"))
-    if not isinstance(digest, str):
-        raise CorruptData("model.json weights_sha256 must be a string")
-    if not (isinstance(shape, list) and shape
-            and all(type(d) is int and d > 0 for d in shape)):
-        raise CorruptData(f"model.json input_shape must be a list of "
-                          f"positive integers, not {shape!r}")
-    if not (isinstance(specs, list) and all(isinstance(s, dict)
-                                            for s in specs)):
-        raise CorruptData("model.json layers must be a list of objects")
-    blob = (directory / "weights.f32le").read_bytes()
-    if hashlib.sha256(blob).hexdigest() != digest:
+    model = checked.read_object(
+        directory / "model.json", "model.json",
+        {"format": "NNCK", "version": 1}, weights_sha256=checked.is_str,
+        input_shape=_is_shape, layers=_is_specs)
+    blob = checked.read_bytes(directory / "weights.f32le")
+    if hashlib.sha256(blob).hexdigest() != model["weights_sha256"]:
         raise CorruptData("weights checksum mismatch")
     try:
-        net = Network.from_specs(specs, shape, dtype=dtype)
+        layers = _layers(model["layers"], None, dtype)
+        size = sum(p.size for layer in layers for p in layer.params().values())
+        if 4 * size != len(blob):
+            raise CorruptData("weight payload size mismatch")
+        net = Network(layers, model["input_shape"])
     except (ConfigError, InvalidInput, ShapeError, KeyError, TypeError,
-            ValueError) as exc:
+            ValueError, ArithmeticError, MemoryError) as exc:
         raise CorruptData(
             f"model.json layers do not build a network: {exc}") from None
     net.load_weight_bytes(blob)

@@ -357,7 +357,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("edit, kind", [
         (lambda r: _without(r, "features"), "record is missing features"),
-        (lambda r: [r], "a record must be a JSON object"),
+        (lambda r: [r], "line 2: record must be a JSON object"),
         (lambda r: "{not json", "is not JSON"),
         (lambda r: {**r, "schema": 9}, "unsupported record schema 9"),
         (lambda r: {**r, "regime": "calm"}, "record: 'calm'"),
@@ -427,6 +427,73 @@ class TestExitCodes:
                               "all 1 real stressed matrices")
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["real", "synth"]
+
+
+# every file-reading input: its argv, with {tmp} a scratch directory that
+# holds valid corpora real/ and synth/ and a checkpoint ckpt/, and each
+# file under {tmp} that it reads
+FILE_INPUTS = {
+    "project": ("project --in {tmp}/in.x --out {tmp}/out", "in.x"),
+    "metrics": ("metrics --in {tmp}/in.x --report {tmp}/out", "in.x"),
+    "geometry mean": ("geometry mean --method m1 --in {tmp}/in.x "
+                      "--out {tmp}/out --meta {tmp}/out", "in.x"),
+    "geometry geodesic": ("geometry geodesic --a {tmp}/in.x --b {tmp}/in.x "
+                          "--t 0.5 --out {tmp}/out --meta {tmp}/out", "in.x"),
+    "portfolio weights": ("portfolio weights --method ivp --cov {tmp}/in.x",
+                          "in.x"),
+    "corpus build": ("corpus build --returns {tmp}/in.x --out {tmp}/out",
+                     "in.x"),
+    "train": ("train --config {tmp}/in.x --corpus {tmp}/real "
+              "--out {tmp}/out", "in.x"),
+    "mc run": ("mc run --config {tmp}/in.x --out {tmp}/out", "in.x"),
+    "repro": ("repro --config {tmp}/in.x --out {tmp}/out", "in.x"),
+    "mc findings": ("mc findings --records {tmp}/in.x --report {tmp}/out",
+                    "in.x"),
+    "mc explain": ("mc explain --records {tmp}/in.x --target decay "
+                   "--report {tmp}/out", "in.x"),
+    "generate": ("generate --ckpt {tmp}/ckpt --regime rally --count 1 "
+                 "--out {tmp}/out", "ckpt/gan.json",
+                 "ckpt/generator/model.json",
+                 "ckpt/discriminator/weights.f32le"),
+    "evaluate": ("evaluate --real {tmp}/real --synth {tmp}/synth "
+                 "--report {tmp}/out", "real/manifest.json",
+                 "synth/manifest.json"),
+    "corpus inspect": ("corpus inspect {tmp}/real", "real/manifest.json",
+                       "real/matrices.f64le"),
+}
+UNREADABLE = [
+    pytest.param(command, target, how, id=f"{command} {target} {how}")
+    for command, (_, *targets) in FILE_INPUTS.items() for target in targets
+    for how in ("missing", "directory", "not-utf8")
+    # a binary payload is never decoded as text
+    if not (target.endswith("le") and how == "not-utf8")
+]
+
+
+@pytest.mark.parametrize("command, target, how", UNREADABLE)
+def test_unreadable_input_exits_3(tmp_path, capsys, command, target, how):
+    """A missing file, a directory or a file that is not UTF-8 text, in
+    place of any file the command line reads, exits 3 with one line that
+    names the file, and writes nothing."""
+    for name in ("real", "synth"):
+        corpus.write_corpus(corpus.build_surrogate(2, 16, seed=0),
+                            tmp_path / name)
+    gan.save_checkpoint(gan.build(gan.GanConfig()), tmp_path / "ckpt")
+    path = tmp_path / target
+    path.unlink(missing_ok=True)
+    if how == "directory":
+        path.mkdir()
+    elif how == "not-utf8":
+        path.write_bytes(b"\xff\xfe\x00 not UTF-8")
+    argv = [arg.format(tmp=tmp_path) for arg in
+            FILE_INPUTS[command][0].split()]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: data:")
+    assert captured.err.count("\n") == 1
+    assert path.name in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_import_loads_no_scipy():

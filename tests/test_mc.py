@@ -155,6 +155,19 @@ class TestSurrogateModel:
             mc.fit_surrogate(recs)
         assert (FEATURE_NAMES[2], FEATURE_NAMES[3]) in e.value.collinear
 
+    def test_fits_at_the_default_dim(self):
+        # at dim <= 20 the top 5% of the spectrum is a single eigenvalue;
+        # top5pct_eig_share takes at least two, so it is not eig1_share
+        # again and a study at McConfig's default dim 16 is full rank
+        assert McConfig().dim == 16
+        recs = mc.run(McConfig(count_per_regime=30, t_in=120, t_out=120,
+                               seed=5))
+        x = mc.design_matrix(recs)
+        top1 = x[:, FEATURE_NAMES.index("eig1_share")]
+        top5 = x[:, FEATURE_NAMES.index("top5pct_eig_share")]
+        assert np.all(top5 > top1)
+        assert 0 < mc.fit_surrogate(recs).r2 < 1
+
     def test_decay_target(self, records):
         vals = [mc.target_value(r, "decay") for r in records]
         assert all(np.isfinite(vals))
