@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 from collections import Counter
@@ -87,7 +88,8 @@ def _write_json(path, payload):
 
 def _read_matrix_csv(path) -> np.ndarray:
     rows = []
-    for r, line in enumerate(checked.read_text(path).splitlines()):
+    lines = io.StringIO(checked.read_text(path), newline=None)
+    for r, line in enumerate(lines):
         line = line.strip()
         if not line:
             continue
@@ -255,7 +257,7 @@ def _check_section(cfg, ints, what):
     key of ``ints`` it holds is an integer."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{what} must be a JSON object")
-    bad = [k for k in ints if k in cfg and type(cfg[k]) is not int]
+    bad = [k for k in ints if k in cfg and not checked.is_int(cfg[k])]
     if bad:
         raise ConfigError(f"{what} {bad} must be integers")
 

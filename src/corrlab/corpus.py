@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -79,7 +80,7 @@ class LabeledCorpus:
 
 def read_returns_csv(path):
     """Read a T x d returns CSV with a header row of asset names."""
-    reader = csv.reader(checked.read_text(path).splitlines())
+    reader = csv.reader(io.StringIO(checked.read_text(path), newline=""))
     try:
         header = next(reader)
     except StopIteration:

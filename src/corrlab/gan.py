@@ -67,7 +67,8 @@ class GanConfig:
             raise ConfigError("arch must be 'dense' or 'conv'")
         for name in ("lr_g", "lr_d"):
             value = getattr(self, name)
-            if not (checked.is_number(value) and 0 < value < math.inf):
+            if not (checked.is_number(value) and math.isfinite(value)
+                    and value > 0):
                 raise ConfigError(f"{name} must be a finite number > 0, "
                                   f"not {value!r}")
 
@@ -99,7 +100,7 @@ class GanConfig:
         count is ``len(REGIMES)``."""
         d = dict(d)
         count = d.pop("regime_count", len(REGIMES))
-        if type(count) is not int or count != len(REGIMES):
+        if not checked.is_int(count) or count != len(REGIMES):
             raise ConfigError(f"regime_count must be {len(REGIMES)}, one per "
                               f"regime, not {count!r}")
         return d

@@ -10,6 +10,7 @@ outperformance or performance decay to correlation-structure features.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from itertools import combinations
@@ -169,7 +170,7 @@ def read_records(path) -> list[McRecord]:
     """Read an NDJSON records file; a bad line raises ``CorruptData`` (or
     ``UnsupportedVersion``) naming its number."""
     out = []
-    for number, line in enumerate(checked.read_bytes(path).split(b"\n"), 1):
+    for number, line in enumerate(io.BytesIO(checked.read_bytes(path)), 1):
         if not line.strip():
             continue
         record = checked.parse_json(line, f"{path} line {number}")

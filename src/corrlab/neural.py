@@ -238,32 +238,25 @@ def _col2im(cols, x_shape, kh, kw, stride, pad):
     return xp
 
 
-class _Conv(Layer):
-    """The parameters and spec of a convolution; ``transposed`` puts the
-    weight's input-channel axis first."""
-
+class Conv2D(Layer):
+    kind = "conv2d"
     args = ("in_ch", "out_ch", "kernel", "stride", "pad")
-    transposed = False
 
     def __init__(self, in_ch, out_ch, kernel, stride=1, pad=0, rng=None,
                  dtype=np.float32):
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride, self.pad = kernel, stride, pad
-        channels = (in_ch, out_ch) if self.transposed else (out_ch, in_ch)
-        shape = channels + (kernel, kernel)
+        fan_in = in_ch * kernel * kernel
+        fan_out = out_ch * kernel * kernel
+        shape = (out_ch, in_ch, kernel, kernel)
         if rng is None:
             self.w = np.zeros(shape, dtype=dtype)
         else:
-            self.w = _glorot(rng, in_ch * kernel * kernel,
-                             out_ch * kernel * kernel, shape, dtype)
+            self.w = _glorot(rng, fan_in, fan_out, shape, dtype)
         self.b = np.zeros(out_ch, dtype=dtype)
 
     def params(self):
         return {"w": self.w, "b": self.b}
-
-
-class Conv2D(_Conv):
-    kind = "conv2d"
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
@@ -297,8 +290,25 @@ class Conv2D(_Conv):
         return _col2im(dcols, x_shape, k, k, s, p), grads
 
 
-class ConvTranspose2D(_Conv):
-    kind, transposed = "conv_transpose2d", True
+class ConvTranspose2D(Layer):
+    kind = "conv_transpose2d"
+    args = ("in_ch", "out_ch", "kernel", "stride", "pad")
+
+    def __init__(self, in_ch, out_ch, kernel, stride=1, pad=0, rng=None,
+                 dtype=np.float32):
+        self.in_ch, self.out_ch = in_ch, out_ch
+        self.kernel, self.stride, self.pad = kernel, stride, pad
+        fan_in = in_ch * kernel * kernel
+        fan_out = out_ch * kernel * kernel
+        shape = (in_ch, out_ch, kernel, kernel)
+        if rng is None:
+            self.w = np.zeros(shape, dtype=dtype)
+        else:
+            self.w = _glorot(rng, fan_in, fan_out, shape, dtype)
+        self.b = np.zeros(out_ch, dtype=dtype)
+
+    def params(self):
+        return {"w": self.w, "b": self.b}
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
@@ -438,7 +448,7 @@ def _layers(specs, rng, dtype):
         cls = _LAYER_KINDS.get(s.get("kind"))
         if cls is None:
             raise ConfigError(f"unknown layer kind {s.get('kind')!r}")
-        weighted = issubclass(cls, (Dense, _Conv))
+        weighted = cls in (Dense, Conv2D, ConvTranspose2D)
         kw = {"rng": rng, "dtype": dtype} if weighted else {}
         layers.append(cls(*(s[a] for a in cls.args), **kw))
     return layers
@@ -479,8 +489,9 @@ def load_network(directory, dtype=np.float32):
     object holding a ``weights_sha256`` that matches the payload, an
     ``input_shape`` list of positive integers and a ``layers`` list of
     layer specs that build a network on that input, and unless the payload
-    fills that network.  The payload size is checked before the network's
-    parameters are gathered, so a spec cannot make it allocate more."""
+    fills that network.  The payload size is checked before the layers'
+    parameters are gathered into one vector, so a spec that does not match
+    the payload stops there; the layers' zero arrays are made first."""
     directory = Path(directory)
     model = checked.read_object(
         directory / "model.json", "model.json",
@@ -492,14 +503,14 @@ def load_network(directory, dtype=np.float32):
     try:
         layers = _layers(model["layers"], None, dtype)
         size = sum(p.size for layer in layers for p in layer.params().values())
-        if 4 * size != len(blob):
+        if size * np.dtype("<f4").itemsize != len(blob):
             raise CorruptData("weight payload size mismatch")
         net = Network(layers, model["input_shape"])
     except (ConfigError, InvalidInput, ShapeError, KeyError, TypeError,
             ValueError, ArithmeticError, MemoryError) as exc:
         raise CorruptData(
             f"model.json layers do not build a network: {exc}") from None
-    net.load_weight_bytes(blob)
+    net.theta[:] = np.frombuffer(blob, dtype="<f4")
     return net, model
 
 

@@ -570,6 +570,11 @@ class TestProject:
         out = cli._read_matrix_csv(tmp_path / "o.csv")
         assert validate(out).is_valid
 
+    def test_matrix_csv_reads_any_line_end(self, tmp_path):
+        (tmp_path / "m.csv").write_bytes(b"1,0.5\r0.5,1\r\n\n")
+        got = cli._read_matrix_csv(tmp_path / "m.csv")
+        assert got.tolist() == [[1.0, 0.5], [0.5, 1.0]]
+
 
 class TestMetrics:
     def test_report_written(self, tmp_path):

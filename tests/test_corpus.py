@@ -54,6 +54,15 @@ class TestReadReturnsCsv:
         with pytest.raises(ParseError):
             corpus.read_returns_csv(p)
 
+    def test_header_cells_keep_line_breaks(self, tmp_path):
+        # csv owns the line splitting: a quoted newline stays in its cell,
+        # and \x0c or U+2028 in a name does not end the row.
+        p = tmp_path / "r.csv"
+        p.write_bytes('"a\nb",c\x0cd,e\u2028f\n0.1,0.2,0.3\r\n'.encode())
+        names, got = corpus.read_returns_csv(p)
+        assert names == ["a\nb", "c\x0cd", "e\u2028f"]
+        assert got.tolist() == [[0.1, 0.2, 0.3]]
+
 
 def test_window_count_oracle():
     # T=600, window 252, step 21: floor((600-252)/21)+1 = 17
