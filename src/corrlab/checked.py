@@ -1,18 +1,21 @@
-"""The one way corrlab reads an input file.
+"""The one way corrlab reads an input file, and a config section in it.
 
 Whatever goes wrong becomes a data error that names the file:
 ``CorruptData`` when it cannot be read (missing, a directory, no
 permission), is not UTF-8 text or not JSON, or lacks a key or a
 well-typed value; ``UnsupportedVersion`` when its format or version tag
-is foreign.  The command line exits 3 on both.
+is foreign.  The command line exits 3 on both, and 2 on the
+``ConfigError`` of a config section that breaks its rules.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
 
-from .exceptions import CorruptData, UnsupportedVersion
+from .exceptions import (ConfigError, CorruptData, InvalidInput,
+                         UnsupportedVersion)
 
 
 def read_bytes(path) -> bytes:
@@ -71,6 +74,35 @@ def require(obj, what, tags=None, **checks) -> dict:
             raise CorruptData(f"{what} {key} must be {check.text}, not "
                               f"{obj[key]!r}")
     return obj
+
+
+def config(cls, obj, what, required=(), error=ConfigError):
+    """``cls(**obj)``; ``error`` naming ``what`` unless ``obj`` is a JSON
+    object holding every key of ``required`` and no key ``cls`` does not
+    take, with values for which ``cls`` raises no ``ConfigError`` or
+    ``InvalidInput``."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be a JSON object")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise error(f"{what} lacks {missing}")
+    unknown = sorted(set(obj) - set(inspect.signature(cls).parameters))
+    if unknown:
+        raise error(f"{what} holds unknown keys {unknown}")
+    try:
+        return cls(**obj)
+    except (ConfigError, InvalidInput) as exc:
+        raise error(f"{what}: {exc}") from None
+
+
+def integers(obj, error, **lows):
+    """Raise ``error`` naming the first attribute of ``obj`` in ``lows``
+    that is not an integer, or is below its low when that is not None."""
+    for name, low in lows.items():
+        value = getattr(obj, name)
+        if not is_int(value) or (low is not None and value < low):
+            bound = "" if low is None else f" >= {low}"
+            raise error(f"{name} must be an integer{bound}, not {value!r}")
 
 
 def predicate(text, test):

@@ -7,8 +7,8 @@ version, SHA-256 of the governing config, master seed).
 Each pipeline stage is one function that its subcommand and ``repro`` both
 call: ``corpus synth``, ``train``, ``generate``, ``evaluate``, ``mc run``,
 ``mc findings`` and ``mc explain`` run the code of ``repro``'s stages.  The
-``gan`` and ``mc`` configs have one parser each, shared by ``train``, ``mc
-run`` and ``repro``, so a bad config exits 2 from any of them.
+``gan`` and ``mc`` configs are each read by ``checked.config``, so a bad
+config exits 2 from ``train``, ``mc run`` and ``repro`` alike.
 
 ``repro`` runs the whole surrogate pipeline from one config file as five
 stages, each keyed on the canonical JSON of its own sub-config plus the
@@ -262,25 +262,6 @@ def _check_section(cfg, ints, what):
         raise ConfigError(f"{what} {bad} must be integers")
 
 
-_MC_KEYS = ("count_per_regime", "dim", "t_in", "t_out", "seed")
-
-
-def _gan_config(cfg, what="gan config"):
-    """``GanConfig`` from a JSON object; ``ConfigError`` on bad input."""
-    _check_section(cfg, (), what)
-    try:
-        return gan.GanConfig.from_dict(cfg)
-    except ConfigError as exc:
-        raise ConfigError(f"{what}: {exc}") from None
-
-
-def _mc_config(cfg, what="mc config"):
-    """``McConfig`` from the keys of ``_MC_KEYS`` a JSON object holds, with
-    ``McConfig``'s defaults for the rest; ``ConfigError`` on bad input."""
-    _check_section(cfg, _MC_KEYS, what)
-    return mc.McConfig(**{k: cfg[k] for k in _MC_KEYS if k in cfg})
-
-
 def _synth_corpus(count_per_regime, dim, seed, out, **meta):
     """Write a surrogate corpus to ``out``, adding ``meta`` to its own."""
     corp = corpus_mod.build_surrogate(count_per_regime, dim, seed=seed)
@@ -391,7 +372,8 @@ def _surrogate_report(records, target, prov):
 
 def cmd_train(args):
     cfg_bytes = checked.read_bytes(args.config)
-    config = _gan_config(checked.parse_json(cfg_bytes, args.config))
+    cfg = checked.parse_json(cfg_bytes, args.config)
+    config = checked.config(gan.GanConfig, cfg, "gan config")
     _train(config, args.corpus, args.out, _provenance(cfg_bytes, config.seed))
 
 
@@ -414,15 +396,21 @@ def cmd_evaluate(args):
 
 def cmd_mc_run(args):
     cfg = checked.read_json(args.config)
-    config = _mc_config(cfg)
+    # the keys that name the matrix source; the rest is the study's
+    source = {k: cfg.pop(k) for k in ("generator", "checkpoint")
+              if isinstance(cfg, dict) and k in cfg}
+    config = checked.config(mc.McConfig, cfg, "mc config")
     gen_fn = None
-    if cfg.get("generator", "checkpoint") != "checkpoint":
+    if source.get("generator", "checkpoint") != "checkpoint":
         raise ConfigError("mc config 'generator' must be \"checkpoint\" or "
-                          f"absent, not {cfg['generator']!r}")
-    if "generator" in cfg:
-        if not isinstance(cfg.get("checkpoint"), str):
+                          f"absent, not {source['generator']!r}")
+    if "generator" in source:
+        if not isinstance(source.get("checkpoint"), str):
             raise ConfigError("mc config 'checkpoint' must name a directory")
-        ckpt = gan.load_checkpoint(cfg["checkpoint"])
+        ckpt = gan.load_checkpoint(source["checkpoint"])
+        if ckpt.config.dim != config.dim:
+            raise ConfigError(f"checkpoint dim {ckpt.config.dim} != mc "
+                              f"config dim {config.dim}")
 
         def gen_fn(regime, stream):
             seed = rng.mix(config.seed, stream)
@@ -445,19 +433,12 @@ def cmd_mc_findings(args):
                     _provenance(_args_bytes(args), None))
 
 
-# keys each ``repro`` section must hold, all integers; ``eval`` is optional
-_REPRO_KEYS = {
-    "corpus": ("count_per_regime", "dim", "seed"),
-    "gan": (),
-    "generate": ("count_per_regime", "seed"),
-    "mc": ("count_per_regime", "dim", "seed"),
-}
-
-
 def _check_repro_config(cfg):
-    """Raise ``ConfigError`` unless ``cfg`` holds what every stage reads."""
+    """The ``GanConfig`` and ``McConfig`` of ``cfg``; ``ConfigError``
+    unless ``cfg`` holds what every stage reads."""
     _check_section(cfg, (), "repro config")
-    for section, keys in _REPRO_KEYS.items():
+    for section, keys in (("corpus", ("count_per_regime", "dim", "seed")),
+                          ("generate", ("count_per_regime", "seed"))):
         what = f"repro config {section!r}"
         _check_section(cfg.get(section), keys, what)
         missing = [k for k in keys if k not in cfg[section]]
@@ -467,13 +448,15 @@ def _check_repro_config(cfg):
         raise ConfigError("repro config 'generate' count_per_regime must be "
                           ">= 1")
     _check_section(cfg.get("eval", {}), ("seed",), "repro config 'eval'")
-    _gan_config(cfg["gan"], "repro config 'gan'")
-    _mc_config(cfg["mc"], "repro config 'mc'")
+    return (checked.config(gan.GanConfig, cfg.get("gan"),
+                           "repro config 'gan'"),
+            checked.config(mc.McConfig, cfg.get("mc"), "repro config 'mc'",
+                           required=("count_per_regime", "dim", "seed")))
 
 
 def cmd_repro(args):
     cfg = checked.read_json(args.config)
-    _check_repro_config(cfg)
+    gan_config, mc_config = _check_repro_config(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     corpus_dir, ckpt_dir, synth_dir = out / "corpus", out / "ckpt", out / "synth"
@@ -513,7 +496,7 @@ def cmd_repro(args):
     # 2. train
     train_prov = stage(cfg["gan"], corpus_prov["config_sha256"])
     if fresh(ckpt_dir / "provenance.json", train_prov):
-        _train(_gan_config(cfg["gan"]), corpus_dir, ckpt_dir, train_prov)
+        _train(gan_config, corpus_dir, ckpt_dir, train_prov)
 
     # 3. generate
     gen_prov = stage(gen_cfg, train_prov["config_sha256"])
@@ -534,7 +517,7 @@ def cmd_repro(args):
     mc_prov = stage(cfg["mc"])
     if fresh(out / "shap.json", mc_prov,
              out / "records.ndjson", out / "findings.json"):
-        records = _run_mc(_mc_config(cfg["mc"]), out / "records.ndjson")
+        records = _run_mc(mc_config, out / "records.ndjson")
         _write_findings(records, out / "findings.json", mc_prov)
         report, explain = _surrogate_report(records, "outperformance", mc_prov)
         report["example_attribution"] = explain(records[0])

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import InitVar, asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,6 @@ from .exceptions import (ConfigError, CorruptData, InvalidInput,
                          NumericalFailure, TrainingDiverged)
 from .samplers import REGIMES, RegimeLabel
 
-_SUPPORTED_DIMS = (16, 32, 80)
 # row k is the one-hot code of REGIMES[k] (read-only: every caller shares it)
 _ONE_HOT = np.eye(len(REGIMES), dtype=np.float32)
 _ONE_HOT.flags.writeable = False
@@ -52,19 +51,19 @@ class GanConfig:
     lr_d: float = 2e-4
     d_steps_per_g: int = 1
     seed: int = 0
+    # older configs and checkpoints hold the regime count; it is not kept
+    regime_count: InitVar[int] = len(REGIMES)
 
-    def __post_init__(self):
+    def __post_init__(self, regime_count):
         """``ConfigError`` unless every field has its type and range."""
-        for name, low in (("noise_dim", 1), ("epochs", 1), ("batch_size", 8),
-                          ("d_steps_per_g", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not checked.is_int(value) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, "
-                                  f"not {value!r}")
-        if not checked.is_int(self.dim) or self.dim not in _SUPPORTED_DIMS:
-            raise ConfigError(f"dim must be one of {_SUPPORTED_DIMS}")
+        _check_regime_count(regime_count)
+        checked.integers(self, ConfigError, dim=2, noise_dim=1, epochs=1,
+                         batch_size=8, d_steps_per_g=1, seed=0)
         if self.arch not in ("dense", "conv"):
             raise ConfigError("arch must be 'dense' or 'conv'")
+        if self.arch == "conv" and self.dim % 4:
+            raise ConfigError(f"conv arch requires dim divisible by 4, not "
+                              f"{self.dim}")
         for name in ("lr_g", "lr_d"):
             value = getattr(self, name)
             if not (checked.is_number(value) and math.isfinite(value)
@@ -80,30 +79,15 @@ class GanConfig:
         return asdict(self)
 
     @classmethod
-    def unknown_keys(cls, d) -> list:
-        """The keys of ``d`` that ``from_dict`` does not know, sorted."""
-        return sorted(set(d) - {f.name for f in fields(cls)} - {"regime_count"})
-
-    @classmethod
     def from_dict(cls, d):
-        """Config from ``to_dict``'s keys; ``ConfigError`` names any other.
-        A ``regime_count`` key, which older configs and checkpoints hold,
-        is dropped when it equals ``len(REGIMES)`` and refused otherwise."""
-        unknown = cls.unknown_keys(d)
-        if unknown:
-            raise ConfigError(f"unknown keys {unknown}")
-        return cls(**cls._fields_of(d))
+        """``checked.config`` of ``to_dict``'s keys, or of an older config."""
+        return checked.config(cls, d, "gan config")
 
-    @staticmethod
-    def _fields_of(d) -> dict:
-        """``d`` without its ``regime_count``; ``ConfigError`` unless that
-        count is ``len(REGIMES)``."""
-        d = dict(d)
-        count = d.pop("regime_count", len(REGIMES))
-        if not checked.is_int(count) or count != len(REGIMES):
-            raise ConfigError(f"regime_count must be {len(REGIMES)}, one per "
-                              f"regime, not {count!r}")
-        return d
+
+def _check_regime_count(count):
+    if not checked.is_int(count) or count != len(REGIMES):
+        raise ConfigError(f"regime_count must be {len(REGIMES)}, one per "
+                          f"regime, not {count!r}")
 
 
 @dataclass
@@ -162,8 +146,6 @@ def build(config: GanConfig) -> GanCheckpoint:
         ], (din,))
     else:
         d = config.dim
-        if d % 4 != 0:
-            raise ConfigError("conv arch requires dim divisible by 4")
         base = d // 4
         ch = 32
         gen = neural.Network([
@@ -410,14 +392,9 @@ def load_checkpoint(directory) -> GanCheckpoint:
         directory / "gan.json", "gan.json", config=checked.is_object,
         epoch=checked.is_count, loss_history=_is_loss_history,
         mode_collapse_flag=checked.is_bool)
-    unknown = GanConfig.unknown_keys(meta["config"])
-    if unknown:
-        raise CorruptData(f"gan.json config holds unknown keys {unknown}")
-    kwargs = GanConfig._fields_of(meta["config"])
-    try:
-        config = GanConfig(**kwargs)
-    except ConfigError as exc:
-        raise CorruptData(f"gan.json config: {exc}") from None
+    _check_regime_count(meta["config"].get("regime_count", len(REGIMES)))
+    config = checked.config(GanConfig, meta["config"], "gan.json config",
+                            error=CorruptData)
     gen, _ = neural.load_network(directory / "generator")
     disc, _ = neural.load_network(directory / "discriminator")
     return GanCheckpoint(

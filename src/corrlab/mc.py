@@ -14,6 +14,7 @@ import io
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from typing import ClassVar
 
 import numpy as np
 
@@ -104,7 +105,15 @@ class McConfig:
     t_in: int = 252
     t_out: int = 252
     seed: int = 0
-    regimes: tuple = REGIMES
+    regimes: ClassVar[tuple] = REGIMES
+
+    def __post_init__(self):
+        """``InvalidInput`` unless each field is an integer in its range,
+        which ``feature_vector`` (dim >= 4) and ``backtest_methods`` set."""
+        checked.integers(self, InvalidInput, count_per_regime=1, dim=4,
+                         seed=None)
+        checked.integers(self, InvalidInput, t_in=self.dim + 2,
+                         t_out=self.dim + 2)
 
 
 def _simulate_one(generator_fn, regime, stream, config) -> McRecord:
@@ -137,8 +146,6 @@ def run(
     feature vector (0.5 ms of it cluster separation) and 1.2 ms for the
     three backtests (0.6 ms of it HRP).
     """
-    if config.count_per_regime < 1:
-        raise InvalidInput("count_per_regime must be >= 1")
     if generator_fn is None:
         def generator_fn(regime, stream):
             return sample_regime(

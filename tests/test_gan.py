@@ -54,7 +54,9 @@ class TestConfig:
 
     def test_rejects_unsupported(self):
         with pytest.raises(ConfigError):
-            GanConfig(dim=17)
+            GanConfig(dim=1)
+        with pytest.raises(ConfigError, match="divisible by 4"):
+            GanConfig(dim=18, arch="conv")
         with pytest.raises(ConfigError):
             GanConfig(batch_size=4)
         with pytest.raises(ConfigError):

@@ -10,7 +10,7 @@ from corrlab.exceptions import (InvalidInput, NotPositiveDefinite,
 from corrlab.facts import FEATURE_NAMES, FeatureVector
 from corrlab.mc import McConfig, SurrogateModel
 from corrlab.portfolio import RiskReport
-from corrlab.samplers import RegimeLabel, sample_regime
+from corrlab.samplers import REGIMES, RegimeLabel, sample_regime
 import mc_reference
 from shapley_oracle import shapley_enumeration
 
@@ -82,6 +82,19 @@ class TestRun:
     def test_rejects_bad_count(self):
         with pytest.raises(InvalidInput):
             mc.run(McConfig(count_per_regime=0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("count_per_regime", True), ("dim", 3), ("dim", 16.0),
+        ("t_in", 17), ("t_out", 2), ("seed", 1.5), ("seed", None),
+    ])
+    def test_config_checks_itself(self, field, value):
+        with pytest.raises(InvalidInput, match=f"^{field} must be"):
+            McConfig(**{"dim": 16, "t_in": 18, "t_out": 18, field: value})
+
+    def test_regimes_are_not_a_field(self):
+        assert McConfig().regimes == REGIMES
+        with pytest.raises(TypeError):
+            McConfig(regimes=REGIMES[:1])
 
 
 class TestRecords:
