@@ -66,10 +66,10 @@ from .samplers import (
     sample_with_spectrum,
 )
 
-# a writer raises FileNotFoundError for an --out in a missing directory
+# a writer raises OSError for an --out it cannot write: in a missing
+# directory, a directory itself, or without permission
 _DATA_ERRORS = (
-    ParseError, CorruptData, UnsupportedVersion, DegenerateColumn,
-    FileNotFoundError,
+    ParseError, CorruptData, UnsupportedVersion, DegenerateColumn, OSError,
 )
 
 

@@ -22,7 +22,7 @@ gradient, which that step would discard.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import InitVar, asdict, dataclass, field
 from pathlib import Path
 
@@ -65,9 +65,9 @@ class GanConfig:
             raise ConfigError(f"conv arch requires dim divisible by 4, not "
                               f"{self.dim}")
         for name in ("lr_g", "lr_d"):
-            value = getattr(self, name)
-            if not (checked.is_number(value) and math.isfinite(value)
-                    and value > 0):
+            value = getattr(self, name)  # a float must hold it
+            if not (checked.is_number(value)
+                    and 0 < value <= sys.float_info.max):
                 raise ConfigError(f"{name} must be a finite number > 0, "
                                   f"not {value!r}")
 
@@ -126,12 +126,20 @@ def one_hot(regime: RegimeLabel) -> np.ndarray:
     return _ONE_HOT[REGIMES.index(regime)]
 
 
+def _shapes(config: GanConfig):
+    """The generator's input and output shapes and the discriminator's
+    input shape that ``config`` builds."""
+    d, k = config.dim, len(REGIMES)
+    disc_in = ((config.tri_len + k,) if config.arch == "dense"
+               else (1 + k, d, d))
+    return (config.noise_dim + k,), (config.tri_len,), disc_in
+
+
 def build(config: GanConfig) -> GanCheckpoint:
     """Untrained generator/discriminator pair for the given config."""
     g = np.random.Generator(np.random.PCG64(rng.mix(config.seed, 0)))
     tri = config.tri_len
-    zin = config.noise_dim + len(REGIMES)
-    din = tri + len(REGIMES)
+    (zin,), _, disc_in = _shapes(config)
 
     if config.arch == "dense":
         gen = neural.Network([
@@ -140,10 +148,10 @@ def build(config: GanConfig) -> GanCheckpoint:
             neural.Dense(256, tri, g), neural.Tanh(),
         ], (zin,))
         disc = neural.Network([
-            neural.Dense(din, 256, g), neural.LeakyReLU(0.2),
+            neural.Dense(disc_in[0], 256, g), neural.LeakyReLU(0.2),
             neural.Dense(256, 128, g), neural.LeakyReLU(0.2),
             neural.Dense(128, 1, g),
-        ], (din,))
+        ], disc_in)
     else:
         d = config.dim
         base = d // 4
@@ -163,7 +171,7 @@ def build(config: GanConfig) -> GanCheckpoint:
             neural.Conv2D(ch // 2, ch, 4, 2, 1, g), neural.LeakyReLU(0.2),
             neural.Flatten(),
             neural.Dense(ch * base * base, 1, g),
-        ], (1 + len(REGIMES), d, d))
+        ], disc_in)
     return GanCheckpoint(config, gen, disc)
 
 
@@ -384,9 +392,10 @@ def load_checkpoint(directory) -> GanCheckpoint:
     object holding a ``config`` object with only the keys and values that
     ``save_checkpoint`` writes, an integer ``epoch`` >= 0, a
     ``loss_history`` of (generator, discriminator) loss pairs and a boolean
-    ``mode_collapse_flag``.  A ``regime_count`` other than the number of
-    regimes stays a ``ConfigError``: that checkpoint is whole, but made for
-    another regime set."""
+    ``mode_collapse_flag``, or when the networks do not have the input and
+    output shapes that config builds.  A ``regime_count`` other than the
+    number of regimes stays a ``ConfigError``: that checkpoint is whole,
+    but made for another regime set."""
     directory = Path(directory)
     meta = checked.read_object(
         directory / "gan.json", "gan.json", config=checked.is_object,
@@ -397,6 +406,10 @@ def load_checkpoint(directory) -> GanCheckpoint:
                             error=CorruptData)
     gen, _ = neural.load_network(directory / "generator")
     disc, _ = neural.load_network(directory / "discriminator")
+    shapes = (gen.input_shape, gen.output_shape, disc.input_shape)
+    if shapes != _shapes(config):
+        raise CorruptData(f"gan.json config gives shapes {_shapes(config)}, "
+                          f"the networks {shapes}")
     return GanCheckpoint(
         config, gen, disc, epoch=meta["epoch"],
         loss_history=[tuple(x) for x in meta["loss_history"]],

@@ -224,13 +224,13 @@ def design_matrix(records) -> np.ndarray:
 
 def fit_surrogate(records, target: str = "outperformance") -> SurrogateModel:
     """OLS with intercept on standardized features."""
-    x = design_matrix(records)
-    y = np.asarray([target_value(r, target) for r in records])
-    n, k = x.shape
+    n, k = len(records), len(FEATURE_NAMES)
     if n < 10 * k:
         raise InvalidInput(
             f"need at least {10 * k} records for {k} features, got {n}"
         )
+    x = design_matrix(records)
+    y = np.asarray([target_value(r, target) for r in records])
     mu, sd = x.mean(axis=0), x.std(axis=0)
     zero = sd == 0
     sd = np.where(zero, 1.0, sd)

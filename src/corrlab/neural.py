@@ -510,7 +510,7 @@ def load_network(directory, dtype=np.float32):
             ValueError, ArithmeticError, MemoryError) as exc:
         raise CorruptData(
             f"model.json layers do not build a network: {exc}") from None
-    net.theta[:] = np.frombuffer(blob, dtype="<f4")
+    net.load_weight_bytes(blob)
     return net, model
 
 

@@ -3,6 +3,7 @@ one error class for a foreign format tag, and a guard that keeps every
 reader on the shared path."""
 
 import copy
+import inspect
 import json
 import re
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from corrlab import checked, cli, corpus, gan, mc, neural
-from corrlab.exceptions import CorruptData, UnsupportedVersion
+from corrlab.exceptions import ConfigError, CorruptData, UnsupportedVersion
 
 SRC = Path(checked.__file__).parent
 
@@ -243,6 +244,57 @@ def test_fuzzed_file_raises_only_data_errors(formats, fmt, data):
         content = (content[:i] + bytes([content[i] ^ flip]) + content[i + 1:]
                    if flip else content[:i])
     _read_edited(root, read, path, content)
+
+
+# ---------------------------------------------------------------------------
+# config sections: one reader, and each config checks itself
+
+
+class TestConfig:
+    def test_builds_the_class(self):
+        assert checked.config(mc.McConfig, {"dim": 8, "t_in": 10}, "x") == (
+            mc.McConfig(dim=8, t_in=10))
+
+    @pytest.mark.parametrize("obj, required, message", [
+        ([8], (), "x must be a JSON object"),
+        ({"dim": 8}, ("dim", "seed"), r"x lacks \['seed'\]"),
+        ({"dim": 8, "regimes": [], "b": 1}, (),
+         r"x holds unknown keys \['b', 'regimes'\]"),
+        ({"dim": 8, "seed": 0.5}, (), "x: seed must be an integer, not 0.5"),
+        ({"count_per_regime": 0}, (),
+         "x: count_per_regime must be an integer >= 1, not 0"),
+    ], ids=["not-object", "missing", "unknown", "refused-type",
+            "refused-range"])
+    def test_refusals_name_the_section(self, obj, required, message):
+        with pytest.raises(ConfigError, match=message):
+            checked.config(mc.McConfig, obj, "x", required=required)
+        with pytest.raises(CorruptData, match=message):
+            checked.config(mc.McConfig, obj, "x", required=required,
+                           error=CorruptData)
+
+
+FIELDS = sorted({*inspect.signature(gan.GanConfig).parameters,
+                 *inspect.signature(mc.McConfig).parameters, "unknown"})
+config_values = (
+    st.integers(-10**400, 10**400) | st.integers(-3, 40)
+    | st.floats() | st.booleans() | st.none() | st.text(max_size=4)
+    | st.sampled_from(["dense", "conv"]) | st.lists(st.integers(), max_size=2)
+)
+
+
+@pytest.mark.parametrize("cls", [gan.GanConfig, mc.McConfig])
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(obj=st.dictionaries(st.sampled_from(FIELDS), config_values,
+                           max_size=4))
+def test_fuzzed_config_builds_or_raises_config_error(cls, obj):
+    """Any object over the fields of both configs and one unknown key
+    either builds the config or raises ``ConfigError``: never a
+    ``TypeError``, ``OverflowError`` or ``ValueError``."""
+    try:
+        config = checked.config(cls, obj, "x")
+    except ConfigError:
+        return
+    assert isinstance(config, cls)
 
 
 # ---------------------------------------------------------------------------

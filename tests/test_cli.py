@@ -429,6 +429,25 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["real", "synth"]
 
 
+@pytest.mark.parametrize("argv", [
+    lambda d: ["project", "--in", str(d / "eye.csv"), "--out"],
+    lambda d: ["metrics", "--in", str(d / "eye.csv"), "--report"],
+    lambda d: ["mc", "run", "--config", str(d / "mc.json"), "--out"],
+], ids=["project", "metrics", "mc-run"])
+def test_unwritable_output_exits_3(tmp_path, capsys, argv):
+    """An ``--out`` or ``--report`` that names a directory exits 3 with one
+    data-error line."""
+    write_matrix(tmp_path / "eye.csv", np.eye(4))
+    (tmp_path / "mc.json").write_text(json.dumps(
+        {"count_per_regime": 1, "dim": 4, "t_in": 6, "t_out": 6}))
+    (tmp_path / "out").mkdir()
+    assert cli.main(argv(tmp_path) + [str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: data: [Errno 21] Is a directory")
+    assert captured.err.count("\n") == 1
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 # every file-reading input: its argv, with {tmp} a scratch directory that
 # holds valid corpora real/ and synth/ and a checkpoint ckpt/, and each
 # file under {tmp} that it reads
@@ -977,3 +996,71 @@ def test_evaluate_computes_features_once_per_matrix(tmp_path, monkeypatch):
         synth).matrices()
     assert seen == Counter(m.tobytes() for m in mats)
     assert max(seen.values()) == 1
+
+
+class TestConfigRules:
+    """``McConfig`` and ``GanConfig`` refuse what no stage can run, before
+    anything is written."""
+
+    MC = {"count_per_regime": 1, "dim": 16, "t_in": 40, "t_out": 40}
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("mc run", {**MC, "dim": 3},
+         "mc config: dim must be an integer >= 4, not 3"),
+        ("mc run", {**MC, "t_in": 17},
+         "mc config: t_in must be an integer >= 18, not 17"),
+        ("mc run", {**MC, "t_out": 2},
+         "mc config: t_out must be an integer >= 18, not 2"),
+        ("mc run", {**MC, "count_per_regim": 9},
+         "mc config holds unknown keys ['count_per_regim']"),
+        ("mc run", {**MC, "dim": 24, "generator": "checkpoint",
+                    "checkpoint": "ckpt"},
+         "checkpoint dim 16 != mc config dim 24"),
+        ("repro", with_changes("mc", dim=3),
+         "repro config 'mc': dim must be an integer >= 4, not 3"),
+        ("train", {"dim": 16, "lr_g": 10**400},
+         "gan config: lr_g must be a finite number > 0, not 1000"),
+        ("repro", with_changes("gan", lr_d=10**400),
+         "repro config 'gan': lr_d must be a finite number > 0, not 1000"),
+    ], ids=["mc-dim-3", "mc-t-in-below-dim-plus-2", "mc-t-out-2",
+            "mc-unknown-key", "mc-checkpoint-dim", "repro-mc-dim-3",
+            "train-huge-lr", "repro-huge-lr"])
+    def test_refused_before_writing(self, tmp_path, monkeypatch, capsys,
+                                    command, config, message):
+        monkeypatch.chdir(tmp_path)  # "ckpt" and "corpus" are relative
+        gan.save_checkpoint(gan.build(gan.GanConfig()), "ckpt")
+        corpus.write_corpus(corpus.build_surrogate(2, 16, seed=0), "corpus")
+        Path("cfg.json").write_text(json.dumps(config))
+        argv = [*command.split(), "--config", "cfg.json", "--out", "out"]
+        assert cli.main(argv + ["--corpus", "corpus"] * (command == "train")
+                        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid: {message}")
+        assert err.count("\n") == 1
+        assert not Path("out").exists()
+
+    def test_checkpoint_networks_match_gan_json(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        gan.save_checkpoint(gan.build(gan.GanConfig()), ckpt)
+        meta = json.loads((ckpt / "gan.json").read_text())
+        meta["config"]["noise_dim"] = 65
+        (ckpt / "gan.json").write_text(json.dumps(meta))
+        out = tmp_path / "out"
+        assert cli.main(["generate", "--ckpt", str(ckpt), "--regime", "rally",
+                         "--count", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("error: data: gan.json config gives shapes ((68,), "
+                       "(120,), (123,)), the networks ((67,), (120,), "
+                       "(123,))\n")
+        assert not out.exists()
+
+    def test_explain_empty_records(self, tmp_path, capsys):
+        records = tmp_path / "r.ndjson"
+        records.write_text("")
+        report = tmp_path / "explain.json"
+        assert cli.main(["mc", "explain", "--records", str(records),
+                         "--target", "decay", "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: invalid: need at least 80 records for 8 "
+                       "features, got 0\n")
+        assert not report.exists()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,48 @@ class TestConfig:
 
     def test_accepts_integer_learning_rate(self):
         assert GanConfig(lr_g=1).lr_g == 1
+
+    @pytest.mark.parametrize("field", ["lr_g", "lr_d"])
+    def test_rejects_learning_rate_no_float_holds(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be a finite"):
+            GanConfig(**{field: 10**400})
+
+    def test_any_dim_from_2(self):
+        assert GanConfig(dim=2).tri_len == 1
+        assert GanConfig(dim=24).tri_len == 276
+        assert GanConfig(dim=20, arch="conv").dim == 20
+
+
+class TestCheckpointShapes:
+    """``load_checkpoint`` refuses a ``gan.json`` whose config does not
+    build the networks saved beside it."""
+
+    @staticmethod
+    def _saved(path, **config):
+        gan.save_checkpoint(gan.build(GanConfig(**config)), path)
+        return path
+
+    @pytest.mark.parametrize("edit, shapes", [
+        ({"noise_dim": 65}, "((68,), (120,), (123,))"),
+        ({"arch": "conv"}, "((67,), (120,), (4, 16, 16))"),
+    ], ids=["generator-input", "discriminator-input"])
+    def test_config_edit(self, tmp_path, edit, shapes):
+        ckpt = self._saved(tmp_path)
+        meta = json.loads((ckpt / "gan.json").read_text())
+        meta["config"].update(edit)
+        (ckpt / "gan.json").write_text(json.dumps(meta))
+        with pytest.raises(CorruptData,
+                           match=re.escape(f"gives shapes {shapes}")):
+            gan.load_checkpoint(ckpt)
+
+    def test_generator_of_another_dim(self, tmp_path):
+        ckpt = self._saved(tmp_path / "a", dim=16)
+        other = self._saved(tmp_path / "b", dim=32)
+        for name in ("model.json", "weights.f32le"):
+            (ckpt / "generator" / name).write_bytes(
+                (other / "generator" / name).read_bytes())
+        with pytest.raises(CorruptData, match=r"\(496,\)"):
+            gan.load_checkpoint(ckpt)
 
 
 class TestTriangle:
