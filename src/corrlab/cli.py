@@ -272,7 +272,9 @@ def _synth_corpus(count_per_regime, dim, seed, out, **meta):
 def _train(config, corpus_dir, out, prov):
     """Train the GAN on the corpus at ``corpus_dir``; write the checkpoint
     and its ``provenance.json`` to ``out``."""
-    ckpt = gan.train(gan.build(config), corpus_mod.read_corpus(corpus_dir))
+    corp = corpus_mod.read_corpus(corpus_dir)
+    gan.check_corpus(config, corp)
+    ckpt = gan.train(gan.build(config), corp)
     gan.save_checkpoint(ckpt, out)
     _write_json(Path(out) / "provenance.json", prov)
 

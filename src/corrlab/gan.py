@@ -208,6 +208,15 @@ def _bce_logits(logit, target):
     return loss, (sigmoid - target) / logit.shape[0]
 
 
+def check_corpus(config: GanConfig, corp: LabeledCorpus):
+    """``ConfigError`` unless ``corp`` holds every regime at ``config``'s
+    dim; call it before ``build``, whose networks grow with the dim."""
+    if corp.dim != config.dim:
+        raise ConfigError(f"corpus dim {corp.dim} != config dim {config.dim}")
+    if set(corp.labels()) != set(REGIMES):
+        raise ConfigError("corpus must contain every regime label")
+
+
 def train(
     ckpt: GanCheckpoint,
     corp: LabeledCorpus,
@@ -215,11 +224,7 @@ def train(
 ) -> GanCheckpoint:
     """Alternating non-saturating GAN training, deterministic under seed."""
     config = ckpt.config
-    if corp.dim != config.dim:
-        raise ConfigError(f"corpus dim {corp.dim} != config dim {config.dim}")
-    present = set(corp.labels())
-    if present != set(REGIMES):
-        raise ConfigError("corpus must contain every regime label")
+    check_corpus(config, corp)
     if not isinstance(ckpt.discriminator.layers[-1], neural.Dense):
         raise ConfigError("discriminator must end in a dense logit layer; a "
                           "sigmoid-ended checkpoint can only be sampled")

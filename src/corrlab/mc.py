@@ -108,8 +108,9 @@ class McConfig:
     regimes: ClassVar[tuple] = REGIMES
 
     def __post_init__(self):
-        """``InvalidInput`` unless each field is an integer in its range,
-        which ``feature_vector`` (dim >= 4) and ``backtest_methods`` set."""
+        """``InvalidInput`` unless each field is an integer in the range a
+        simulation needs: dim >= 4 for ``feature_vector``, and dim + 2
+        returns per window for ``backtest_methods``."""
         checked.integers(self, InvalidInput, count_per_regime=1, dim=4,
                          seed=None)
         checked.integers(self, InvalidInput, t_in=self.dim + 2,

@@ -999,8 +999,8 @@ def test_evaluate_computes_features_once_per_matrix(tmp_path, monkeypatch):
 
 
 class TestConfigRules:
-    """``McConfig`` and ``GanConfig`` refuse what no stage can run, before
-    anything is written."""
+    """A config, checkpoint or records file that no stage can run on exits
+    2 or 3 with one line, before anything is written."""
 
     MC = {"count_per_regime": 1, "dim": 16, "t_in": 40, "t_out": 40}
 
@@ -1038,6 +1038,22 @@ class TestConfigRules:
         assert err.startswith(f"error: invalid: {message}")
         assert err.count("\n") == 1
         assert not Path("out").exists()
+
+    def test_train_checks_corpus_before_building(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # a network's size grows with dim^2: a wrong dim is refused before
+        # the networks are allocated
+        corpus.write_corpus(corpus.build_surrogate(2, 16, seed=0),
+                            tmp_path / "corpus")
+        (tmp_path / "gan.json").write_text(json.dumps({"dim": 400}))
+        monkeypatch.setattr(gan, "build", refuse)
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(tmp_path / "gan.json"),
+                         "--corpus", str(tmp_path / "corpus"),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: invalid: corpus dim 16 != config dim 400\n"
+        assert not out.exists()
 
     def test_checkpoint_networks_match_gan_json(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
