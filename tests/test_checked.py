@@ -1,6 +1,7 @@
 """The shared reader: its contract, the four on-disk formats under fuzzing,
-one error class for a foreign format tag, and a guard that keeps every
-reader on the shared path."""
+one error class for a foreign format tag, the config-section reader and
+the two configs under fuzzing, and a guard that keeps every reader on the
+shared path."""
 
 import copy
 import inspect
