@@ -450,10 +450,14 @@ def _check_repro_config(cfg):
         raise ConfigError("repro config 'generate' count_per_regime must be "
                           ">= 1")
     _check_section(cfg.get("eval", {}), ("seed",), "repro config 'eval'")
-    return (checked.config(gan.GanConfig, cfg.get("gan"),
-                           "repro config 'gan'"),
-            checked.config(mc.McConfig, cfg.get("mc"), "repro config 'mc'",
-                           required=("count_per_regime", "dim", "seed")))
+    gan_config = checked.config(gan.GanConfig, cfg.get("gan"),
+                                "repro config 'gan'")
+    if gan_config.dim != cfg["corpus"]["dim"]:
+        raise ConfigError(f"repro config 'gan' dim {gan_config.dim} != "
+                          f"corpus dim {cfg['corpus']['dim']}")
+    return gan_config, checked.config(
+        mc.McConfig, cfg.get("mc"), "repro config 'mc'",
+        required=("count_per_regime", "dim", "seed"))
 
 
 def cmd_repro(args):

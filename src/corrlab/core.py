@@ -136,9 +136,25 @@ def _dual_point(a: np.ndarray, y: np.ndarray):
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # overflow from a huge input
         raise NumericalFailure(f"eigendecomposition failed: {exc}")
+    return _dual_values(w, v, y)
+
+
+def _dual_values(w, v, y):
+    """:func:`_dual_point`'s ``(w, v, f, theta)`` from a known eigensystem."""
     wp = np.maximum(w, 0.0)
     f = (v * v) @ wp - 1.0
     return w, v, f, 0.5 * (wp @ wp) - y.sum()
+
+
+def _uniform_shift(w):
+    """The c minimising theta(y + c 1) at a dual point with eigenvalues
+    ``w``.  A + Diag(y) + cI has the same eigenvectors, so c solves
+    sum(max(w + c, 0)) = n: with the k largest eigenvalues active,
+    c = (n - their sum) / k, for the largest k that keeps the k-th active."""
+    n = w.size
+    top = w[::-1]
+    shifts = (n - np.cumsum(top)) / np.arange(1, n + 1)
+    return shifts[np.flatnonzero(top + shifts > 0)[-1]]
 
 
 def _newton_direction(w, v, f):
@@ -197,9 +213,16 @@ def nearest_correlation(
     Newton step solves its system by diagonally preconditioned CG
     (Borsdorf & Higham, 2010) and backtracks on theta (Armijo).
 
+    The iteration starts from y = 1 - diag(S).  When every off-diagonal
+    entry of S lies in [-1, 1] (a pseudo-correlation matrix), y first moves
+    to y + c 1, with c the exact minimiser of theta along the all-ones
+    direction (:func:`_uniform_shift`), which costs no eigendecomposition;
+    on far inputs that shift empties the active set and costs steps, so
+    they start at 1 - diag(S) itself.
+
     ``tol`` bounds the dual residual ||diag(X) - 1||_2 / sqrt(n), which
     certifies the result; ``return_info`` also returns that residual for
-    every iterate, starting from y = 1 - diag(S).  ``max_iter`` bounds the
+    every iterate, the (shifted) start first.  ``max_iter`` bounds the
     Newton steps; when it is spent, ``ConvergenceFailure`` carries X and its
     residual.  The result is D^{-1/2} X D^{-1/2}, D = Diag(diag X): PSD
     with an exact unit diagonal.
@@ -215,6 +238,12 @@ def nearest_correlation(
     n = a.shape[0]
     y = 1.0 - np.diag(a)
     w, v, f, theta = _dual_point(a, y)
+    off = np.abs(a)
+    np.fill_diagonal(off, 0.0)
+    if off.max() <= 1.0:
+        c = _uniform_shift(w)
+        y = y + c
+        w, v, f, theta = _dual_values(w + c, v, y)
     residuals = [float(np.linalg.norm(f) / np.sqrt(n))]
     steps = 0
     while not residuals[-1] <= tol:  # a NaN residual is no certificate

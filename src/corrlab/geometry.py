@@ -98,15 +98,20 @@ def geodesic(a, b, t: float) -> np.ndarray:
 
 
 def _jitter(mats):
-    out = []
-    jittered = False
-    for m in mats:
-        m = symmetrize(m)
-        if np.linalg.eigvalsh(m)[0] < _JITTER_EIG:
-            m = m + _JITTER_EIG * np.eye(m.shape[0])
-            jittered = True
-        out.append(m)
-    return out, jittered
+    """Symmetric ``mats`` stacked, each whose least eigenvalue is below
+    1e-10 plus 1e-10 I, and whether any was."""
+    mats = np.stack(mats)
+    low = np.linalg.eigvalsh(mats)[:, 0] < _JITTER_EIG
+    mats[low] += _JITTER_EIG * np.eye(mats.shape[1])
+    return mats, bool(low.any())
+
+
+def _unit_diag(a):
+    """D^{-1/2} A D^{-1/2}, D = Diag(diag A), with an exact unit diagonal."""
+    d = np.sqrt(np.diag(a))
+    out = a / np.outer(d, d)
+    np.fill_diagonal(out, 1.0)
+    return out
 
 
 def karcher_mean(mats, tol: float = 1e-10, max_iter: int = 1000):
@@ -199,7 +204,15 @@ def _descend(targets, start, unit_diag, tol, max_iter):
 
 
 def mean(method: MeanMethod, mats) -> MeanResult:
-    """Compute the requested mean of a non-empty set of correlation matrices."""
+    """Compute the requested mean of a non-empty set of correlation matrices.
+
+    Every method but M1 first adds 1e-10 I to each matrix whose least
+    eigenvalue is below 1e-10 (``jitter_applied``).  M2, M3 and M5 rest on
+    the Karcher mean, and raise ``ConvergenceFailure`` when it cannot be
+    certified.  M4 descends on the elliptope from the unit-diagonal
+    arithmetic mean, a correlation matrix, so it needs no Karcher mean.
+    M4 and M5 report ``converged`` from their own descent's certificate.
+    """
     if not mats:
         raise InvalidInput("empty matrix set")
     mats = [symmetrize(m) for m in mats]
@@ -212,24 +225,19 @@ def mean(method: MeanMethod, mats) -> MeanResult:
         return MeanResult(m1, method, 0, True, 0.0, False)
 
     mats_pd, jittered = _jitter(mats)
-    sigma, iters, grad = karcher_mean(mats_pd)
-
-    if method is MeanMethod.M2_RIEMANNIAN_BARYCENTER:
-        return MeanResult(sigma, method, iters, True, grad, jittered)
-
-    d = np.sqrt(np.diag(sigma))
-    m3 = sigma / np.outer(d, d)
-    np.fill_diagonal(m3, 1.0)
-    if method is MeanMethod.M3_NORMALIZED_BARYCENTER:
-        return MeanResult(m3, method, iters, True, grad, jittered)
-
     if method is MeanMethod.M4_CONSTRAINED_FRECHET:
-        targets = mats_pd
-    elif method is MeanMethod.M5_RIEMANNIAN_PROJECTION:
-        targets = [sigma]
-    else:  # pragma: no cover
-        raise InvalidInput(f"unknown method {method}")
+        targets, start = mats_pd, _unit_diag(mats_pd.mean(axis=0))
+    else:
+        sigma, iters, grad = karcher_mean(mats_pd)
+        if method is MeanMethod.M2_RIEMANNIAN_BARYCENTER:
+            return MeanResult(sigma, method, iters, True, grad, jittered)
+        m3 = _unit_diag(sigma)
+        if method is MeanMethod.M3_NORMALIZED_BARYCENTER:
+            return MeanResult(m3, method, iters, True, grad, jittered)
+        if method is not MeanMethod.M5_RIEMANNIAN_PROJECTION:
+            raise InvalidInput(f"unknown method {method}")  # pragma: no cover
+        targets, start = [sigma], m3
 
-    c, it2, grad2 = _descend(targets, m3, True, 1e-10, 200)
+    c, it2, grad2 = _descend(targets, start, True, 1e-10, 200)
     np.fill_diagonal(c, 1.0)
     return MeanResult(c, method, it2, grad2 <= 1e-10, grad2, jittered)

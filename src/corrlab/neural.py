@@ -134,15 +134,16 @@ class LeakyReLU(_Activation):
     infinities and every NaN included: for a NaN ``x`` both operands are
     NaN and ``maximum`` returns the first, the product the select returns.
     ``alpha = 0`` is refused because ``0 * inf`` is NaN where the select
-    keeps ``inf``; :class:`ReLU` is that layer."""
+    keeps ``inf``; :class:`ReLU` is that layer.  An ``alpha`` that rounds
+    to 0 in float32 is refused too: float32 inputs meet the same NaN."""
 
     kind, args = "leaky_relu", ("alpha",)
 
     def __init__(self, alpha=0.2):
         if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
-                or not 0 < alpha <= 1):
-            raise ConfigError(f"leaky_relu alpha must be a number in (0, 1], "
-                              f"not {alpha!r}")
+                or not 0 < alpha <= 1 or np.float32(alpha) == 0):
+            raise ConfigError(f"leaky_relu alpha must be a number in (0, 1] "
+                              f"that float32 holds as non-zero, not {alpha!r}")
         self.alpha = alpha
 
     def forward(self, x):

@@ -1022,9 +1022,11 @@ class TestConfigRules:
          "gan config: lr_g must be a finite number > 0, not 1000"),
         ("repro", with_changes("gan", lr_d=10**400),
          "repro config 'gan': lr_d must be a finite number > 0, not 1000"),
+        ("repro", with_changes("gan", dim=20),
+         "repro config 'gan' dim 20 != corpus dim 16"),
     ], ids=["mc-dim-3", "mc-t-in-below-dim-plus-2", "mc-t-out-2",
             "mc-unknown-key", "mc-checkpoint-dim", "repro-mc-dim-3",
-            "train-huge-lr", "repro-huge-lr"])
+            "train-huge-lr", "repro-huge-lr", "repro-gan-dim-not-corpus-dim"])
     def test_refused_before_writing(self, tmp_path, monkeypatch, capsys,
                                     command, config, message):
         monkeypatch.chdir(tmp_path)  # "ckpt" and "corpus" are relative

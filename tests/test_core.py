@@ -164,6 +164,51 @@ class TestNearestCorrelation:
             oracle = _oracle_nearest(m)
             assert np.linalg.norm(out - oracle, ord="fro") < 1e-6
 
+    def test_pseudo_correlation_inputs_need_few_eigendecompositions(
+            self, monkeypatch):
+        # the uniform shift starts the Newton steps nearer the optimum: the
+        # first eigendecomposition also serves the shifted start
+        calls = []
+        dual_point = core._dual_point
+        monkeypatch.setattr(core, "_dual_point",
+                            lambda a, y: calls.append(1) or dual_point(a, y))
+        for stream in range(24):
+            core.nearest_correlation(noisy_regime(80, 2718, stream))
+        assert len(calls) / 24 <= 4.5
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 50.0])
+    def test_uniform_shift_minimises_theta_along_ones(self, scale):
+        g = np.random.Generator(np.random.PCG64(17))
+        for dim in (2, 3, 8, 80):
+            m = scale * g.uniform(-1.0, 1.0, (dim, dim))
+            a = (m + m.T) / 2.0
+            w = np.linalg.eigvalsh(a + np.diag(1.0 - np.diag(a)))
+            c = core._uniform_shift(w)
+            # theta's derivative along 1 is sum(max(w + c, 0)) - n
+            assert abs(np.maximum(w + c, 0.0).sum() - dim) <= 1e-12 * dim
+            assert c <= 1e-12  # sum(w) = n, so the positive part sums >= n
+
+    def test_residuals_start_at_the_shifted_point(self):
+        def residual(a, y):
+            w, v = np.linalg.eigh(a + np.diag(y))
+            x = (v * np.maximum(w, 0.0)) @ v.T
+            return np.linalg.norm(np.diag(x) - 1.0) / np.sqrt(a.shape[0])
+
+        far = rand_corr(10, 2)
+        far[0, 1] = far[1, 0] = 1.2  # outside [-1, 1]: no shift
+        _, residuals = core.nearest_correlation(far, return_info=True)
+        y0 = 1.0 - np.diag(far)
+        assert residuals[0] == pytest.approx(residual(far, y0), rel=1e-12)
+
+        near = noisy_regime(16, 5, 0)
+        _, residuals = core.nearest_correlation(near, return_info=True)
+        y0 = 1.0 - np.diag(near)
+        c = core._uniform_shift(np.linalg.eigvalsh(near + np.diag(y0)))
+        assert c < -1e-3
+        assert residuals[0] == pytest.approx(residual(near, y0 + c),
+                                             rel=1e-10)
+        assert residuals[0] != pytest.approx(residual(near, y0), rel=1e-3)
+
     def test_budget_exhausted_carries_last_iterate(self):
         m = rand_corr(10, 2)
         m[0, 1] = m[1, 0] = 1.2

@@ -205,3 +205,44 @@ class TestCertifiedDescent:
         assert iterations < 100
         assert np.array_equal(x, x.T)
         assert np.linalg.eigvalsh(x)[0] > 0
+
+
+class TestStartingPoints:
+    @pytest.mark.parametrize("regime", list(RegimeLabel))
+    def test_m4_needs_no_karcher_mean(self, monkeypatch, regime):
+        # M4 starts from the unit-diagonal arithmetic mean; from M3, the
+        # start it had before, the descent reaches the same point
+        mats = regime_set(regime, 16, 15, 101, 0)
+        mats_pd, _ = geometry._jitter(mats)
+        m3 = geometry.mean(MeanMethod.M3_NORMALIZED_BARYCENTER, mats).matrix
+        from_m3, _, grad_norm = geometry._descend(mats_pd, m3, True, 1e-10,
+                                                  200)
+        assert grad_norm <= 1e-10
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("M4 called karcher_mean")
+
+        monkeypatch.setattr(geometry, "karcher_mean", refuse)
+        m4 = geometry.mean(MeanMethod.M4_CONSTRAINED_FRECHET, mats)
+        assert m4.converged
+        assert np.max(np.abs(m4.matrix - from_m3)) < 1e-9
+
+    def test_stacked_jitter_equals_the_per_matrix_loop(self):
+        def per_matrix(mats):
+            out, jittered = [], False
+            for m in mats:
+                if np.linalg.eigvalsh(m)[0] < geometry._JITTER_EIG:
+                    m = m + geometry._JITTER_EIG * np.eye(m.shape[0])
+                    jittered = True
+                out.append(m)
+            return out, jittered
+
+        regular = regime_set(RegimeLabel.NORMAL, 5, 3, 7, 0)
+        singular = np.ones((5, 5))  # rank one
+        for mats, expect in ((regular, False),
+                             (regular[:1] + [singular] + regular[1:], True)):
+            got, jittered = geometry._jitter(mats)
+            want, want_jittered = per_matrix(mats)
+            assert jittered is want_jittered is expect
+            assert np.array_equal(got, np.stack(want))
+        assert not np.array_equal(got[1], singular)

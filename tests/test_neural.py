@@ -168,7 +168,8 @@ class TestLeakyReLU:
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.sampled_from([np.float32, np.float64]),
            st.sampled_from([0.01, 0.1, 0.2, 0.3, 0.7, 1.0])
-           | st.floats(min_value=0, max_value=1, exclude_min=True))
+           | st.floats(min_value=float(np.finfo(np.float32).smallest_subnormal),
+                       max_value=1))
     def test_branch_free_equals_select(self, data, dtype, alpha):
         x = data.draw(leaky_inputs(
             dtype, hnp.array_shapes(max_dims=2, max_side=6)))
@@ -184,7 +185,7 @@ class TestLeakyReLU:
 
     @pytest.mark.parametrize("alpha", [
         0, 0.0, -0.2, 1.5, float("nan"), float("inf"), -float("inf"), True,
-        "0.2", None,
+        "0.2", None, 2.225073858507203e-309,
     ])
     def test_refuses_alpha_outside_unit_interval(self, alpha, tmp_path):
         with pytest.raises(ConfigError, match="alpha"):
