@@ -98,8 +98,8 @@ def geodesic(a, b, t: float) -> np.ndarray:
 
 
 def _jitter(mats):
-    """Symmetric ``mats`` stacked, each whose least eigenvalue is below
-    1e-10 plus 1e-10 I, and whether any was."""
+    """Stack the symmetric ``mats``, adding 1e-10 I to each whose least
+    eigenvalue is below 1e-10; return the stack and whether any was."""
     mats = np.stack(mats)
     low = np.linalg.eigvalsh(mats)[:, 0] < _JITTER_EIG
     mats[low] += _JITTER_EIG * np.eye(mats.shape[1])
