@@ -77,14 +77,24 @@ def _upper(n: int):
     return iu, ju
 
 
+@lru_cache(maxsize=None)
+def _offdiag(n: int) -> np.ndarray:
+    """Read-only mask of the off-diagonal entries of an n x n matrix."""
+    mask = ~np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def mst(c) -> list[tuple[int, int]]:
     """Minimum spanning tree on d = sqrt(2(1-rho)) by Kruskal.
 
     Ties broken lexicographically on (i, j) so the tree is deterministic.
     """
-    c = symmetrize(c)
-    n = c.shape[0]
-    d = corr_distance(c)
+    return _mst(corr_distance(symmetrize(c)))
+
+
+def _mst(d: np.ndarray) -> list[tuple[int, int]]:
+    n = d.shape[0]
     iu, ju = _upper(n)
     rank = np.lexsort((ju, iu, d[iu, ju]))
     edges = zip(iu[rank].tolist(), ju[rank].tolist())
@@ -119,17 +129,25 @@ def degree_tail_exponent(degrees: np.ndarray) -> float:
     occur; otherwise over all degrees; 0.0 when even that is impossible.
     The returned exponent is the negated slope (positive for decaying
     tails).  A comparative feature, not a statistical estimate.
+
+    ``np.bincount`` counts the integer degrees >= 1 in ``np.unique``'s
+    order, and the fit is ``np.polyfit(x, y, 1)``'s own arithmetic less its
+    checks (Vandermonde over its column norms, ``lstsq`` at rcond = len(x)
+    eps, slope over its norm), so the slope is polyfit's bit for bit.
     """
-    vals, counts = np.unique(degrees[degrees >= 1], return_counts=True)
+    freq = np.bincount(degrees[degrees >= 1])
+    vals = np.flatnonzero(freq)
     mask = vals >= 2
     if mask.sum() < 2:
         mask = np.ones_like(vals, dtype=bool)
     if mask.sum() < 2:
         return 0.0
     x = np.log(vals[mask].astype(float))
-    y = np.log(counts[mask].astype(float))
-    slope = np.polyfit(x, y, 1)[0]
-    return float(-slope)
+    y = np.log(freq[vals[mask]].astype(float))
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    coef = np.linalg.lstsq(lhs / scale, y, len(x) * np.finfo(float).eps)[0]
+    return float(-(coef[0] / scale[0]))
 
 
 class Linkage(NamedTuple):
@@ -160,10 +178,11 @@ def average_linkage(d: np.ndarray) -> Linkage:
     and the smaller dies.  The merges are stable-sorted by height and
     relabelled by union-find, each as (smaller root, larger root).
     """
+    inf = np.inf
     n = d.shape[0]
     rows = d.tolist()
     for i, row in enumerate(rows):
-        row[i] = np.inf
+        row[i] = inf
     live = list(range(n))
     size = [1.0] * n  # exact, as scipy's int-to-double sizes are
     merges = []
@@ -181,18 +200,19 @@ def average_linkage(d: np.ndarray) -> Linkage:
                 break
             chain.append(y)
         del chain[-2:]
-        x, y = min(x, y), max(x, y)
+        if x > y:
+            x, y = y, x
         nx, ny = size[x], size[y]
         merges.append((h, x, y))
         live.remove(x)
-        size[y] = nx + ny
+        size[y] = nxy = nx + ny
         # dead slots hold inf, so the merged row is inf at x, y and dead slots
-        merged = [(nx * a + ny * b) / (nx + ny)
-                  for a, b in zip(rows[x], rows[y])]
+        merged = [(nx * a + ny * b) / nxy for a, b in zip(rows[x], rows[y])]
         rows[y] = merged
         for i in live:
-            rows[i][y] = merged[i]
-            rows[i][x] = np.inf
+            row = rows[i]
+            row[y] = merged[i]
+            row[x] = inf
 
     merges.sort(key=lambda m: m[0])
     parent = list(range(2 * n - 1))
@@ -223,11 +243,20 @@ def cophenetic_coeff(c: np.ndarray) -> float:
     """Correlation of the distances with the average-linkage tree's
     cophenetic distances, summed as scipy's ``cophenet`` sums it.
 
-    NaN, with no warning, where that quotient is 0/0 (a single pair).
+    NaN, with no warning, where the squared distances 2(1 - rho_ij) span
+    at most 16 eps = 3.6e-15: such a matrix (the identity, an equicorrelated
+    one, a single pair) has no hierarchy; scipy's value there is noise.
     """
-    d = corr_distance(c)
-    tree = average_linkage(d)
+    return _cophenetic(corr_distance(c))
+
+
+def _cophenetic(d: np.ndarray) -> float:
     n = d.shape[0]
+    iu, ju = _upper(n)
+    y = d[iu, ju]
+    if y.size < 2 or np.ptp(y * y) <= 16 * np.finfo(float).eps:
+        return float("nan")
+    tree = average_linkage(d)
     # cophenetic distances between leaf positions in ``tree.order``: every
     # node joins its left block of positions to its right block
     coph = np.zeros((n, n))
@@ -236,9 +265,7 @@ def cophenetic_coeff(c: np.ndarray) -> float:
         mid = s + tree.size[int(a)]
         coph[s:mid, mid:s + int(m)] = h
     coph += coph.T
-    iu, ju = _upper(n)
     pos = np.array(tree.start[:n])
-    y = d[iu, ju]
     zz = coph[pos[iu], pos[ju]]
     yy = y - y.mean()
     zc = zz - zz.mean()
@@ -267,7 +294,7 @@ def _finite_symmetric(c) -> np.ndarray:
 def stylized_report(c, q_ratio: float = DEFAULT_Q_RATIO) -> StylizedFactReport:
     c = _finite_symmetric(c)
     n = c.shape[0]
-    off = c[~np.eye(n, dtype=bool)]
+    off = c[_offdiag(n)]
     sf1_mean = float(off.mean())
     sf1_skew = _skew(off)
 
@@ -290,9 +317,9 @@ def stylized_report(c, q_ratio: float = DEFAULT_Q_RATIO) -> StylizedFactReport:
             degenerate_evec=degenerate, insufficient_dimension=True,
         )
 
-    sf5 = cophenetic_coeff(c)
-    tree = mst(c)
-    deg = mst_degrees(tree, n)
+    d = corr_distance(c)
+    sf5 = _cophenetic(d)
+    deg = mst_degrees(_mst(d), n)
     sf6 = degree_tail_exponent(deg)
     return StylizedFactReport(
         sf1_mean, sf1_skew, sf2_share, (lam_minus, lam_plus), sf3, sf4,
@@ -319,29 +346,32 @@ def _build(d: np.ndarray, dt: np.ndarray, k: int) -> list[int]:
     return medoids
 
 
-def _swap(d: np.ndarray, dt: np.ndarray, medoids: list, max_iter: int):
+def _swap(d: np.ndarray, dt: np.ndarray, medoids: list):
     """First-improvement PAM swaps from the sorted ``medoids``.
 
     A pass scans (slot, candidate) in order.  At the first candidate that
     lowers the cost by more than 1e-12 it swaps, then goes on from the next
     (slot, candidate) position against the new sorted medoid set; a pass
-    with no swap ends the search, as do ``max_iter`` passes.  Each scan
-    scores every (slot, candidate) pair at once: slot s's base distance is
-    each point's nearest medoid other than s, which is its second-nearest
-    medoid where s is its nearest, and row c of ``dt`` holds the distances
-    to candidate c, so each cost is summed exactly as
-    ``d[:, trial].min(axis=1).sum()`` would be.
+    with no swap ends the search, as do 100 passes.  Each scan scores every
+    (slot, candidate) pair at once: slot s's base distance is each point's
+    nearest medoid other than s, which is its second-nearest medoid where s
+    is its nearest, and row c of ``dt`` holds the distances to candidate c,
+    so each cost is summed exactly as ``d[:, trial].min(axis=1).sum()``
+    would be.  Every pass ends on a scan of the final medoids, whose
+    nearest-medoid indices are the labels.
     """
     n, k = d.shape[0], len(medoids)
     rows, slots = np.arange(n), np.arange(k)[:, None]
-    best = float(d[:, medoids].min(axis=1).sum())
-    for _ in range(max_iter):
+    best = None
+    for _ in range(100):
         improved = False
         pos = 0  # flat (slot, candidate) position of the scan
         while True:
             dm = d[:, medoids]
             near = dm.argmin(axis=1)
             first = dm[rows, near]
+            if best is None:
+                best = float(first.sum())
             dm[rows, near] = np.inf
             base = np.where(near == slots, dm.min(axis=1), first)
             cost = np.minimum(base[:, None, :], dt).sum(axis=2)
@@ -357,30 +387,29 @@ def _swap(d: np.ndarray, dt: np.ndarray, medoids: list, max_iter: int):
             pos += 1
         if not improved:
             break
-    return np.asarray(medoids), np.argmin(d[:, medoids], axis=1)
+    return np.asarray(medoids), near
 
 
-def _kmedoids(d: np.ndarray, k: int, max_iter: int = 100):
+def _kmedoids(d: np.ndarray, k: int):
     """Deterministic PAM for k >= 1: greedy build (``_build``), then
     first-improvement swaps (``_swap``).  Returns the sorted medoids and
     each point's label, the index of its nearest medoid."""
     dt = np.ascontiguousarray(d.T)
-    return _swap(d, dt, sorted(_build(d, dt, k)), max_iter)
+    return _swap(d, dt, sorted(_build(d, dt, k)))
 
 
 def _silhouette(d: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette; a point alone in its cluster scores 0."""
     n = d.shape[0]
-    if labels.min() >= 0 and np.bincount(labels).all():
-        m, inv = int(labels.max()) + 1, labels  # labels 0..m-1, all present
+    if labels.min() >= 0 and (counts := np.bincount(labels)).all():
+        inv = labels  # labels 0..m-1, all present
     else:
-        uniq, inv = np.unique(labels, return_inverse=True)
-        m = uniq.size
-    if m < 2:
+        _, inv, counts = np.unique(labels, return_inverse=True,
+                                   return_counts=True)
+    if counts.size < 2:
         return -1.0
-    onehot = np.eye(m)[inv]
+    onehot = np.eye(counts.size)[inv]
     sums = d @ onehot
-    counts = onehot.sum(axis=0)
     rows = np.arange(n)
     own = counts[inv] - 1
     a = (sums[rows, inv] - np.diag(d)) / np.maximum(own, 1)
@@ -403,8 +432,11 @@ def cluster_separation(c: np.ndarray, k_range=range(2, 7)):
     (``_build`` is prefix-stable), so every k gets the medoids that
     ``_kmedoids(d, k)`` gives.
     """
-    d = corr_distance(c)
-    ks = [k for k in takewhile(lambda k: k < c.shape[0], k_range) if k >= 2]
+    return _cluster_separation(corr_distance(c), k_range)
+
+
+def _cluster_separation(d: np.ndarray, k_range=range(2, 7)):
+    ks = [k for k in takewhile(lambda k: k < d.shape[0], k_range) if k >= 2]
     if not ks:
         return -1.0, None
     dt = np.ascontiguousarray(d.T)
@@ -412,7 +444,7 @@ def cluster_separation(c: np.ndarray, k_range=range(2, 7)):
     best = -1.0
     best_k = None
     for k in ks:
-        _, labels = _swap(d, dt, sorted(build[:k]), 100)
+        _, labels = _swap(d, dt, sorted(build[:k]))
         s = _silhouette(d, labels)
         if s > best:
             best, best_k = s, k
@@ -444,7 +476,7 @@ def feature_vector(c) -> FeatureVector:
     n = c.shape[0]
     if n < 4:
         raise InvalidInput("feature_vector requires dim >= 4")
-    off = c[~np.eye(n, dtype=bool)]
+    off = c[_offdiag(n)]
     if abs(off[0] - 1.0) < 1e-12 and np.allclose(off, off[0]):
         raise DegenerateStructure("all columns identical")
 
@@ -461,17 +493,15 @@ def feature_vector(c) -> FeatureVector:
     if (w[-1] - w[-2]) <= 1e-12 * max(1.0, w[-1]):
         dispersion = float("nan")
 
-    sep, _ = cluster_separation(c)
-    fv = FeatureVector(
+    d = corr_distance(c)
+    sep, _ = _cluster_separation(d)
+    return FeatureVector(
         mean_corr=float(off.mean()),
         std_corr=float(off.std()),
         eig1_share=eig1_share,
         top5pct_eig_share=top_share,
         evec1_dispersion=dispersion,
-        cophenetic_coeff=cophenetic_coeff(c),
+        cophenetic_coeff=_cophenetic(d),
         cluster_separation=sep,
-        mst_tail_exponent=degree_tail_exponent(
-            mst_degrees(mst(c), n)
-        ),
+        mst_tail_exponent=degree_tail_exponent(mst_degrees(_mst(d), n)),
     )
-    return fv

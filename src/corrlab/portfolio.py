@@ -60,8 +60,19 @@ def quasi_diag_order(corr: np.ndarray) -> list[int]:
     return average_linkage(corr_distance(corr)).order
 
 
+def _ivp_var(inv_var: np.ndarray, block: np.ndarray) -> float:
+    """Variance of the inverse-variance portfolio of a covariance block."""
+    w = inv_var / inv_var.sum()
+    return float(w @ block @ w)
+
+
 def hrp_weights(cov) -> np.ndarray:
-    """Hierarchical risk parity allocation (Lopez de Prado recursion)."""
+    """Hierarchical risk parity allocation (Lopez de Prado recursion).
+
+    A one-asset block's normalised weight is x / x = 1.0 exactly, so its
+    variance is its diagonal entry.  A block's weight is the product of its
+    ancestors' split factors, multiplied root to leaf as in-place scaling is.
+    """
     cov = symmetrize(np.asarray(cov, dtype=float))
     if np.linalg.eigvalsh(cov)[0] <= 0:
         raise NotPositiveDefinite("covariance must be positive definite")
@@ -74,27 +85,20 @@ def hrp_weights(cov) -> np.ndarray:
     p = cov[np.ix_(order, order)]
     inv_var = 1.0 / np.diag(p)
 
-    def cluster_var(a, b):
-        """Variance of the inverse-variance portfolio of block [a, b)."""
-        w = inv_var[a:b]
-        w = w / w.sum()
-        return float(w @ p[a:b, a:b] @ w)
-
     n = cov.shape[0]
-    wp = np.ones(n)
-    stack = [(0, n)]
+    wp = [1.0] * n
+    stack = [(0, n, 1.0)]
     while stack:
-        a, b = stack.pop()
-        if b - a <= 1:
+        a, b, w = stack.pop()
+        if b - a == 1:
+            wp[a] = w
             continue
         m = a + (b - a) // 2
-        var_l = cluster_var(a, m)
-        var_r = cluster_var(m, b)
+        var_l = p[a, a] if m - a == 1 else _ivp_var(inv_var[a:m], p[a:m, a:m])
+        var_r = p[m, m] if b - m == 1 else _ivp_var(inv_var[m:b], p[m:b, m:b])
         alpha = 1.0 - var_l / (var_l + var_r)
-        wp[a:m] *= alpha
-        wp[m:b] *= 1.0 - alpha
-        stack.append((a, m))
-        stack.append((m, b))
+        stack.append((a, m, w * alpha))
+        stack.append((m, b, w * (1.0 - alpha)))
     w = np.empty(n)
     w[order] = wp
     return _check_weights(w)

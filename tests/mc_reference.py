@@ -2,15 +2,19 @@
 
 ``kmedoids`` runs a whole greedy build for its own k, then scans
 the swaps one slot at a time, each scan scoring the candidates from the
-scan position on.  ``cluster_separation`` calls it once per k.
-``silhouette`` labels the clusters through ``np.unique``, ``hrp_weights``
-takes ``np.diag`` of every bisection cluster, ``mst_degrees`` counts in
-a Python loop, and ``backtest_methods`` draws each return panel through
+scan position on.  ``separation`` calls it once per k.  ``silhouette``
+labels the clusters through ``np.unique``, ``hrp_weights`` takes
+``np.diag`` of every bisection cluster, one-asset clusters included, and
+scales the leaves' weights in place, ``mst_degrees`` counts in a Python
+loop, ``degree_tail_exponent`` counts through ``np.unique`` and fits with
+``np.polyfit``, and ``backtest_methods`` draws each return panel through
 its own ``simulate_returns`` call, with its own Cholesky factor, and
 scores each allocator on its own 1-D return paths.  Tests compare the
 library's forms against these bit for bit, and ``install`` runs a whole
 ``mc.run`` on them.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -75,11 +79,14 @@ def silhouette(d, labels):
 
 
 def cluster_separation(c, k_range=range(2, 7)):
-    d = facts.corr_distance(c)
+    return separation(facts.corr_distance(c), k_range)
+
+
+def separation(d, k_range=range(2, 7)):
     best = -1.0
     best_k = None
     for k in k_range:
-        if k >= c.shape[0]:
+        if k >= d.shape[0]:
             break
         _, labels = kmedoids(d, k)
         s = silhouette(d, labels)
@@ -94,6 +101,18 @@ def mst_degrees(tree, n):
         deg[i] += 1
         deg[j] += 1
     return deg
+
+
+def degree_tail_exponent(degrees):
+    vals, counts = np.unique(degrees[degrees >= 1], return_counts=True)
+    mask = vals >= 2
+    if mask.sum() < 2:
+        mask = np.ones_like(vals, dtype=bool)
+    if mask.sum() < 2:
+        return 0.0
+    x = np.log(vals[mask].astype(float))
+    y = np.log(counts[mask].astype(float))
+    return float(-np.polyfit(x, y, 1)[0])
 
 
 def _cluster_var(sub):
@@ -194,7 +213,22 @@ def backtest_methods(corr, vols, methods, t_in, t_out, seed):
 
 
 def install(monkeypatch):
-    """Run ``feature_vector`` and ``mc.run`` on the reference forms."""
-    monkeypatch.setattr(facts, "cluster_separation", cluster_separation)
-    monkeypatch.setattr(facts, "mst_degrees", mst_degrees)
-    monkeypatch.setattr(mc, "backtest_methods", backtest_methods)
+    """Run ``feature_vector`` and ``mc.run`` on the reference forms, in
+    place of the names they call.  Returns a ``Counter`` of the calls each
+    reference form gets, so a test can see that every one of them ran."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name, fn in (
+        (facts, "_cluster_separation", separation),
+        (facts, "mst_degrees", mst_degrees),
+        (facts, "degree_tail_exponent", degree_tail_exponent),
+        (mc, "backtest_methods", backtest_methods),
+    ):
+        monkeypatch.setattr(module, name, counted(name, fn))
+    return calls

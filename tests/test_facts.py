@@ -230,7 +230,9 @@ class TestAverageLinkage:
     node's leaves and the cophenetic coefficient must equal its own, bit
     for bit, and HRP's order is the root's leaves."""
 
-    def assert_matches_scipy(self, c):
+    def assert_matches_scipy(self, c, structureless=False):
+        """``structureless``: every distance is equal, where the coefficient
+        reads NaN and scipy's only correlates rounding residues."""
         d = facts.corr_distance(c)
         z, leaves, coeff = scipy_tree(d)
         tree = facts.average_linkage(d)
@@ -243,7 +245,10 @@ class TestAverageLinkage:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = facts.cophenetic_coeff(c)
-        assert got == coeff or (np.isnan(got) and np.isnan(coeff))
+        if structureless:
+            assert np.isnan(got)
+        else:
+            assert got == coeff or (np.isnan(got) and np.isnan(coeff))
 
     @pytest.mark.parametrize("dim", [4, 5, 6, 8, 12, 16, 24, 32, 48, 80])
     def test_regime_draws(self, dim):
@@ -260,17 +265,126 @@ class TestAverageLinkage:
     @pytest.mark.parametrize("blocks", range(2, 10))
     def test_tied_blocks(self, blocks):
         for size in (1, 2, 3, 5):
-            self.assert_matches_scipy(equal_blocks(blocks, size))
+            self.assert_matches_scipy(equal_blocks(blocks, size),
+                                      structureless=size == 1)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
     def test_identity(self, dim):
-        self.assert_matches_scipy(np.eye(dim))
+        self.assert_matches_scipy(np.eye(dim), structureless=True)
 
     def test_single_pair_reads_nan(self):
         # one distance, so both centred sets are zero: 0/0, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isnan(facts.cophenetic_coeff(np.eye(2)))
+
+
+def equicorrelated(dim, rho):
+    c = np.full((dim, dim), rho)
+    np.fill_diagonal(c, 1.0)
+    return c
+
+
+class TestCopheneticStructureless:
+    """Where every distance is equal up to rounding, the squared distances
+    spanning at most 16 eps, the coefficient reads NaN with no warning."""
+
+    @staticmethod
+    def coeff(c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return facts.cophenetic_coeff(c)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.95, -0.02])
+    def test_equicorrelated_reads_nan(self, rho):
+        for dim in range(2, 41):
+            assert np.isnan(self.coeff(equicorrelated(dim, rho))), dim
+
+    @pytest.mark.parametrize("rho", [0.3, 0.95, -0.02])
+    def test_rounding_level_perturbation_reads_nan(self, rho):
+        g = np.random.Generator(np.random.PCG64(7))
+        for dim in range(3, 41):
+            # each correlation moved by up to 4 ulps, symmetrically
+            steps = np.triu(g.integers(-4, 5, (dim, dim)), 1)
+            c = equicorrelated(dim, rho)
+            c += np.spacing(rho) * (steps + steps.T)
+            assert np.ptp(c[~np.eye(dim, dtype=bool)]) > 0
+            assert np.isnan(self.coeff(c)), dim
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6])
+    def test_structure_above_rounding_matches_scipy(self, scale):
+        g = np.random.Generator(np.random.PCG64(8))
+        for dim in (3, 8, 24, 40):
+            c = equicorrelated(dim, 0.3)
+            c += scale * g.standard_normal((dim, dim))
+            c = (c + c.T) / 2.0
+            np.fill_diagonal(c, 1.0)
+            _, _, want = scipy_tree(facts.corr_distance(c))
+            assert self.coeff(c) == want, dim
+
+
+def test_feature_vector_builds_one_distance_matrix(monkeypatch):
+    """Separation, cophenetic and MST share one distance matrix."""
+    calls = []
+    real = facts.corr_distance
+
+    def counted(c):
+        calls.append(c.shape)
+        return real(c)
+
+    monkeypatch.setattr(facts, "corr_distance", counted)
+    facts.feature_vector(sample_regime(RegimeLabel.NORMAL, 24, seed=3))
+    assert calls == [(24, 24)]
+
+
+@st.composite
+def degree_vectors(draw):
+    """Degree vectors of the kinds the tail fit branches on, with entries
+    below 1 mixed in for the filter to drop."""
+    kind = draw(st.sampled_from(["empty", "ones", "one", "two", "tail",
+                                 "any"]))
+    if kind == "empty":
+        deg = []
+    elif kind == "ones":
+        deg = [1] * draw(st.integers(1, 50))
+    elif kind == "one":
+        deg = ([draw(st.integers(2, 100))] * draw(st.integers(1, 20))
+               + [1] * draw(st.integers(0, 30)))
+    elif kind == "two":
+        a, b = draw(st.lists(st.integers(1, 100), min_size=2, max_size=2,
+                             unique=True))
+        deg = [a] * draw(st.integers(1, 30)) + [b] * draw(st.integers(1, 30))
+    elif kind == "tail":
+        # counts falling off as a power of the degree, out to a long tail
+        top = draw(st.integers(3, 300))
+        alpha = draw(st.floats(0.5, 3.5))
+        size = draw(st.integers(10, 2000))
+        deg = [k for k in range(1, top + 1)
+               for _ in range(int(size * k ** -alpha))]
+        deg += draw(st.lists(st.integers(1, 5 * top), max_size=5))
+    else:
+        deg = draw(st.lists(st.integers(-5, 80), max_size=150))
+    deg += draw(st.lists(st.integers(-5, 0), max_size=10))
+    return np.array(draw(st.permutations(deg)), dtype=int)
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree_vectors())
+def test_degree_tail_exponent_matches_polyfit_form(degrees):
+    got = facts.degree_tail_exponent(degrees)
+    want = mc_reference.degree_tail_exponent(degrees)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("dim", [8, 16, 24, 40, 80])
+def test_degree_tail_exponent_matches_polyfit_on_mst_degrees(dim):
+    for regime in RegimeLabel:
+        for stream in range(10):
+            c = sample_regime(regime, dim, seed=dim, stream=stream)
+            degrees = facts.mst_degrees(facts.mst(c), dim)
+            got = facts.degree_tail_exponent(degrees)
+            want = mc_reference.degree_tail_exponent(degrees)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_degree_tail_exponent_recovers_power_law():
@@ -288,6 +402,7 @@ class TestStylizedReport:
         assert r.sf1_mean_offdiag == 0.0
         assert r.sf2_top_eig_share == pytest.approx(1.0 / 8.0)
         assert r.degenerate_evec
+        assert np.isnan(r.sf5_cophenetic_coeff)
 
     def test_one_factor_closed_form(self):
         c = np.full((20, 20), 0.25)
@@ -414,6 +529,7 @@ class TestFeatureVector:
         fv = facts.feature_vector(np.eye(8))
         assert fv.mean_corr == 0.0
         assert np.isnan(fv.evec1_dispersion)
+        assert np.isnan(fv.cophenetic_coeff)
 
     def test_all_ones_degenerate(self):
         with pytest.raises(DegenerateStructure):

@@ -73,9 +73,13 @@ class TestRun:
     def test_records_match_reference_forms(self, tmp_path, monkeypatch):
         cfg = McConfig(count_per_regime=5, dim=24, t_in=60, t_out=60, seed=29)
         mc.write_records(mc.run(cfg), tmp_path / "records.ndjson")
-        mc_reference.install(monkeypatch)
-        mc.write_records(mc.run(cfg), tmp_path / "reference.ndjson")
-        assert mc.backtest_methods is mc_reference.backtest_methods
+        calls = mc_reference.install(monkeypatch)
+        records = mc.run(cfg)
+        mc.write_records(records, tmp_path / "reference.ndjson")
+        # every reference form ran once per simulation, so none is vacuous
+        assert calls == dict.fromkeys(
+            ["_cluster_separation", "mst_degrees", "degree_tail_exponent",
+             "backtest_methods"], len(records))
         assert (tmp_path / "records.ndjson").read_bytes() == (
             tmp_path / "reference.ndjson").read_bytes()
 

@@ -89,6 +89,22 @@ class TestWeights:
         assert np.array_equal(portfolio.hrp_weights(cov),
                               mc_reference.hrp_weights(cov))
 
+    def test_hrp_forms_products_only_for_multi_asset_blocks(self,
+                                                             monkeypatch):
+        # 46 bisection blocks at dim 24; a one-asset block's variance is
+        # its diagonal entry, so 24 of them need no products
+        sizes = []
+
+        def counted(inv_var, block):
+            sizes.append(block.shape[0])
+            return ivp_var(inv_var, block)
+
+        ivp_var = portfolio._ivp_var
+        monkeypatch.setattr(portfolio, "_ivp_var", counted)
+        w = portfolio.hrp_weights(rand_cov(24, 5))
+        assert len(sizes) == 22 and min(sizes) == 2
+        assert np.array_equal(w, mc_reference.hrp_weights(rand_cov(24, 5)))
+
     def test_hrp_properties(self):
         cov = rand_cov(12, 99)
         w = portfolio.hrp_weights(cov)
