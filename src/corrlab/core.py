@@ -222,10 +222,13 @@ def nearest_correlation(
 
     ``tol`` bounds the dual residual ||diag(X) - 1||_2 / sqrt(n), which
     certifies the result; ``return_info`` also returns that residual for
-    every iterate, the (shifted) start first.  ``max_iter`` bounds the
-    Newton steps; when it is spent, ``ConvergenceFailure`` carries X and its
-    residual.  The result is D^{-1/2} X D^{-1/2}, D = Diag(diag X): PSD
-    with an exact unit diagonal.
+    every iterate, the (shifted) start first.  The list need not fall on
+    inputs far outside the elliptope, because the Armijo search decreases
+    theta, not ||F||: in seeded sweeps of 500 draws of 50 (G + G^T) at
+    dim 16, 315 to 334 rose at some step.  Only its last entry certifies.
+    ``max_iter`` bounds the Newton steps; when it is spent,
+    ``ConvergenceFailure`` carries X and its residual.  The result is
+    D^{-1/2} X D^{-1/2}, D = Diag(diag X): PSD with an exact unit diagonal.
     """
     a = symmetrize(s)
     if not np.all(np.isfinite(a)):

@@ -85,6 +85,14 @@ def _offdiag(n: int) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=None)
+def _below(n: int) -> np.ndarray:
+    """Read-only mask of the strict lower triangle of an n x n matrix."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def mst(c) -> list[tuple[int, int]]:
     """Minimum spanning tree on d = sqrt(2(1-rho)) by Kruskal.
 
@@ -175,8 +183,10 @@ def average_linkage(d: np.ndarray) -> Linkage:
     the first nearest neighbour y, unless D[x, y] is not strictly below
     the distance to the previous element p; then x and p merge.  The
     merged row (n_x D[x] + n_y D[y]) / (n_x + n_y) takes the larger slot
-    and the smaller dies.  The merges are stable-sorted by height and
-    relabelled by union-find, each as (smaller root, larger root).
+    and the smaller dies; one pass over the live rows writes it in place
+    and into each live row's columns.  The merges are stable-sorted by
+    height and relabelled by union-find, each as (smaller root, larger
+    root).
     """
     inf = np.inf
     n = d.shape[0]
@@ -206,12 +216,13 @@ def average_linkage(d: np.ndarray) -> Linkage:
         merges.append((h, x, y))
         live.remove(x)
         size[y] = nxy = nx + ny
-        # dead slots hold inf, so the merged row is inf at x, y and dead slots
-        merged = [(nx * a + ny * b) / nxy for a, b in zip(rows[x], rows[y])]
-        rows[y] = merged
+        rx, ry = rows[x], rows[y]
+        # one pass over the live rows updates the merged row in place and
+        # each row's columns y and x; at i = y the update reads ry[y] = inf,
+        # so the diagonal stays inf, and dead slots already hold inf
         for i in live:
             row = rows[i]
-            row[y] = merged[i]
+            row[y] = ry[i] = (nx * rx[i] + ny * ry[i]) / nxy
             row[x] = inf
 
     merges.sort(key=lambda m: m[0])
@@ -251,22 +262,26 @@ def cophenetic_coeff(c: np.ndarray) -> float:
 
 
 def _cophenetic(d: np.ndarray) -> float:
+    """``cophenetic_coeff`` on the distance matrix ``d``.  Each leaf pair's
+    cophenetic distance is the height of its lowest common ancestor, read
+    for every pair of leaf positions from one running maximum over the
+    ranks of the gaps between adjacent positions."""
     n = d.shape[0]
     iu, ju = _upper(n)
     y = d[iu, ju]
     if y.size < 2 or np.ptp(y * y) <= 16 * np.finfo(float).eps:
         return float("nan")
     tree = average_linkage(d)
-    # cophenetic distances between leaf positions in ``tree.order``: every
-    # node joins its left block of positions to its right block
-    coph = np.zeros((n, n))
-    for k, (a, _, h, m) in enumerate(tree.z.tolist()):
-        s = tree.start[n + k]
-        mid = s + tree.size[int(a)]
-        coph[s:mid, mid:s + int(m)] = h
-    coph += coph.T
-    pos = np.array(tree.start[:n])
-    zz = coph[pos[iu], pos[ju]]
+    # node k joins its left block of leaf positions to its right block, so
+    # it owns the gap before its right child's first position; the lowest
+    # common ancestor of positions p < q is the node of the largest row
+    # among gaps p..q-1 (row, not height: heights can invert by an ulp)
+    start = np.array(tree.start)
+    rank = np.empty(n - 1, dtype=int)
+    rank[start[tree.z[:, 1].astype(int)] - 1] = np.arange(n - 1)
+    lca = np.maximum.accumulate(np.where(_below(n - 1), 0, rank), axis=1)
+    p, q = start[iu], start[ju]
+    zz = tree.z[lca[np.minimum(p, q), np.maximum(p, q) - 1], 2]
     yy = y - y.mean()
     zc = zz - zz.mean()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -346,81 +361,147 @@ def _build(d: np.ndarray, dt: np.ndarray, k: int) -> list[int]:
     return medoids
 
 
-def _swap(d: np.ndarray, dt: np.ndarray, medoids: list):
-    """First-improvement PAM swaps from the sorted ``medoids``.
+def _scan(dt: np.ndarray, sets: list):
+    """Score every (slot, candidate) swap of each sorted medoid set at once.
 
-    A pass scans (slot, candidate) in order.  At the first candidate that
-    lowers the cost by more than 1e-12 it swaps, then goes on from the next
-    (slot, candidate) position against the new sorted medoid set; a pass
-    with no swap ends the search, as do 100 passes.  Each scan scores every
-    (slot, candidate) pair at once: slot s's base distance is each point's
-    nearest medoid other than s, which is its second-nearest medoid where s
-    is its nearest, and row c of ``dt`` holds the distances to candidate c,
-    so each cost is summed exactly as ``d[:, trial].min(axis=1).sum()``
-    would be.  Every pass ends on a scan of the final medoids, whose
-    nearest-medoid indices are the labels.
+    ``dt`` is ``d.T`` in C order with a row of inf appended at index n.
+    Returns each point's nearest slot and distance per set, (sets, n), and
+    the costs, one row per slot of each set in turn and one column per
+    candidate, inf where the candidate is already a medoid.  Slot j's base
+    distance is each point's nearest medoid other than j, which is its
+    second-nearest medoid where j is its nearest, and row c of ``dt`` holds
+    the distances to candidate c, so each cost is summed exactly as
+    ``d[:, trial].min(axis=1).sum()`` would be.
     """
-    n, k = d.shape[0], len(medoids)
-    rows, slots = np.arange(n), np.arange(k)[:, None]
+    n = dt.shape[1]
+    m = max(map(len, sets))
+    padded = np.array([s + [n] * (m - len(s)) for s in sets])
+    dm = dt[padded]  # (sets, m, n); short sets' padded slots are inf
+    near = dm.argmin(axis=1)
+    at = np.arange(len(sets))[:, None], near, np.arange(n)
+    first = dm[at]
+    dm[at] = np.inf
+    second = dm.min(axis=1)
+    owner, slot = np.nonzero(padded < n)
+    base = np.where(near[owner] == slot[:, None], second[owner], first[owner])
+    cost = np.minimum(base[:, None, :], dt[:-1]).sum(axis=-1)
+    taken = np.where(padded < n, padded, padded[:, :1])  # pads repeat a medoid
+    cost[np.arange(owner.size)[:, None], taken[owner]] = np.inf
+    return near, first, cost
+
+
+def _swap(dt: np.ndarray, sets: list) -> list:
+    """First-improvement PAM swaps from each sorted medoid set in ``sets``,
+    searched in lockstep.  Returns one ``(medoids, labels)`` per set.
+
+    A set's pass scans (slot, candidate) in order.  At the first candidate
+    that lowers the cost by more than 1e-12 it swaps, then goes on from the
+    next (slot, candidate) position against the new sorted medoid set; a
+    pass with no swap ends the search, as do 100 passes.  Each round scores
+    the swaps of every set still searching in one ``_scan``, and each set
+    takes its own first hit from its own position, so it follows the
+    sequence it would follow alone.  A new pass starts on the medoids its
+    last scan just scored, so it reads the start of that scan instead of
+    rescanning.  Every search ends on a scan of the final medoids, whose
+    nearest-medoid indices are the labels.  ``dt`` is ``d.T`` in C order.
+    """
+    n = dt.shape[0]
+    dt = np.vstack([dt, np.full(n, np.inf)])
+    medoids = [list(s) for s in sets]
     best = None
-    for _ in range(100):
-        improved = False
-        pos = 0  # flat (slot, candidate) position of the scan
-        while True:
-            dm = d[:, medoids]
-            near = dm.argmin(axis=1)
-            first = dm[rows, near]
-            if best is None:
-                best = float(first.sum())
-            dm[rows, near] = np.inf
-            base = np.where(near == slots, dm.min(axis=1), first)
-            cost = np.minimum(base[:, None, :], dt).sum(axis=2)
-            cost[:, medoids] = np.inf
-            hits = np.flatnonzero(cost.ravel()[pos:] < best - 1e-12)
-            if hits.size == 0:
-                break
-            pos += int(hits[0])
-            s, cand = divmod(pos, n)
-            best = float(cost[s, cand])
-            medoids = sorted(medoids[:s] + medoids[s + 1:] + [cand])
-            improved = True
-            pos += 1
-        if not improved:
-            break
-    return np.asarray(medoids), near
+    pos = [0] * len(sets)  # flat (slot, candidate) position; 0 at a pass start
+    passes = [1] * len(sets)
+    out = [None] * len(sets)
+    active = list(range(len(sets)))
+    while active:
+        near, first, cost = _scan(dt, [medoids[j] for j in active])
+        if best is None:  # the first round scans every set
+            best = first.sum(axis=1).tolist()
+        ks = np.array([len(medoids[j]) for j in active])
+        lo = (np.cumsum(ks) - ks) * n  # each set's first flat cost index
+        frm = lo + [pos[j] for j in active]
+        thr = np.repeat([best[j] - 1e-12 for j in active], ks)
+        # every set's hits as sorted flat indices, closed by cost.size: each
+        # set's first hit from its position on, and its first hit overall
+        hits = np.append(np.flatnonzero(cost < thr[:, None]), cost.size)
+        nxt = hits[np.searchsorted(hits, frm)].tolist()
+        wrap = hits[np.searchsorted(hits, lo)].tolist()
+        for r, (j, k, lo_r, frm_r) in enumerate(
+                zip(active, ks.tolist(), lo.tolist(), frm.tolist())):
+            if nxt[r] < lo_r + k * n:
+                at = nxt[r]
+            elif wrap[r] < frm_r and passes[j] < 100:
+                # a hit before the position means this pass swapped; the
+                # next pass starts on these medoids, so this is its scan
+                passes[j] += 1
+                at = wrap[r]
+            else:
+                out[j] = np.asarray(medoids[j]), near[r]
+                continue
+            best[j] = cost.item(at)
+            pos[j] = at - lo_r + 1
+            s, cand = divmod(at - lo_r, n)
+            medoids[j] = sorted(medoids[j][:s] + medoids[j][s + 1:] + [cand])
+        active = [j for j in active if out[j] is None]
+    return out
 
 
 def _kmedoids(d: np.ndarray, k: int):
     """Deterministic PAM for k >= 1: greedy build (``_build``), then
-    first-improvement swaps (``_swap``).  Returns the sorted medoids and
-    each point's label, the index of its nearest medoid."""
+    first-improvement swaps (``_swap`` on one set).  Returns the sorted
+    medoids and each point's label, the index of its nearest medoid."""
     dt = np.ascontiguousarray(d.T)
-    return _swap(d, dt, sorted(_build(d, dt, k)))
+    return _swap(dt, [sorted(_build(d, dt, k))])[0]
+
+
+def _silhouettes(d: np.ndarray, labelings: list) -> np.ndarray:
+    """Mean silhouette of each labeling; a point alone in its cluster
+    scores 0, and a labeling of one cluster -1.
+
+    Each labeling's cluster sums are one product ``d @ onehot`` with one
+    column per present cluster; the rest runs on the stack of them, with
+    padded clusters' sums at +inf, so each mean has the bits the labeling
+    alone would give.
+    """
+    n = d.shape[0]
+    out = np.full(len(labelings), -1.0)
+    which, invs, counts = [], [], []
+    for i, labels in enumerate(labelings):
+        if labels.min() >= 0 and (cnt := np.bincount(labels)).all():
+            inv = labels  # labels 0..m-1, all present
+        else:
+            _, inv, cnt = np.unique(labels, return_inverse=True,
+                                    return_counts=True)
+        if cnt.size >= 2:
+            which.append(i)
+            invs.append(inv)
+            counts.append(cnt)
+    if not which:
+        return out
+    m = max(cnt.size for cnt in counts)
+    sums = np.full((len(which), n, m), np.inf)
+    size = np.ones((len(which), m), dtype=int)
+    for i, (inv, cnt) in enumerate(zip(invs, counts)):
+        sums[i, :, :cnt.size] = d @ np.eye(cnt.size)[inv]
+        size[i, :cnt.size] = cnt
+    inv = np.array(invs)
+    sets, rows = np.arange(len(which))[:, None], np.arange(n)
+    own = size[sets, inv] - 1
+    a = (sums[sets, rows, inv] - np.diag(d)) / np.maximum(own, 1)
+    means = sums / size[:, None, :]
+    means[sets, rows, inv] = np.inf
+    b = means.min(axis=2)
+    denom = np.maximum(a, b)
+    s = np.zeros((len(which), n))
+    ok = (own > 0) & (denom > 0)
+    s[ok] = (b[ok] - a[ok]) / denom[ok]
+    out[which] = s.mean(axis=1)
+    return out
 
 
 def _silhouette(d: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette; a point alone in its cluster scores 0."""
-    n = d.shape[0]
-    if labels.min() >= 0 and (counts := np.bincount(labels)).all():
-        inv = labels  # labels 0..m-1, all present
-    else:
-        _, inv, counts = np.unique(labels, return_inverse=True,
-                                   return_counts=True)
-    if counts.size < 2:
-        return -1.0
-    onehot = np.eye(counts.size)[inv]
-    sums = d @ onehot
-    rows = np.arange(n)
-    own = counts[inv] - 1
-    a = (sums[rows, inv] - np.diag(d)) / np.maximum(own, 1)
-    means = sums / counts
-    means[rows, inv] = np.inf
-    b = means.min(axis=1)
-    denom = np.maximum(a, b)
-    s = np.zeros(n)
-    ok = (own > 0) & (denom > 0)
-    s[ok] = (b[ok] - a[ok]) / denom[ok]
-    return float(s.mean())
+    """Mean silhouette of one labeling (``_silhouettes``)."""
+    return float(_silhouettes(d, [labels])[0])
 
 
 def cluster_separation(c: np.ndarray, k_range=range(2, 7)):
@@ -428,9 +509,10 @@ def cluster_separation(c: np.ndarray, k_range=range(2, 7)):
 
     The scan stops at the first k >= dim; a k below 2 makes one cluster,
     whose silhouette (-1) never wins.  The greedy build runs once, to the
-    largest k scanned; each k swaps from the first k of its medoids
-    (``_build`` is prefix-stable), so every k gets the medoids that
-    ``_kmedoids(d, k)`` gives.
+    largest k scanned; every k's swap search starts from the first k of
+    its medoids (``_build`` is prefix-stable), and the searches run in one
+    lockstep ``_swap``, so every k gets the medoids that ``_kmedoids(d, k)``
+    gives.  Their silhouettes are scored in one ``_silhouettes`` call.
     """
     return _cluster_separation(corr_distance(c), k_range)
 
@@ -441,11 +523,11 @@ def _cluster_separation(d: np.ndarray, k_range=range(2, 7)):
         return -1.0, None
     dt = np.ascontiguousarray(d.T)
     build = _build(d, dt, max(ks))
+    found = _swap(dt, [sorted(build[:k]) for k in ks])
+    scores = _silhouettes(d, [labels for _, labels in found]).tolist()
     best = -1.0
     best_k = None
-    for k in ks:
-        _, labels = _swap(d, dt, sorted(build[:k]))
-        s = _silhouette(d, labels)
+    for k, s in zip(ks, scores):
         if s > best:
             best, best_k = s, k
     return best, best_k

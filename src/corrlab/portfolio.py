@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import cholesky, symmetrize
+from .core import symmetrize
 from .exceptions import InvalidInput, NotPositiveDefinite
 from .facts import average_linkage, corr_distance
 
@@ -126,17 +126,17 @@ def weights_for(method: str, cov) -> np.ndarray:
     return _weights(method, cov)
 
 
-def _return_factor(corr, vols):
-    """``(chol, vols)``: the Cholesky factor of the symmetrized ``corr``
-    plus 1e-10 I, and ``vols`` as checked floats."""
-    corr = symmetrize(corr)
+def _return_factor(corr: np.ndarray, vols):
+    """``(chol, vols)``: the Cholesky factor of ``corr`` plus 1e-10 I, and
+    ``vols`` as checked floats.  ``corr`` is symmetric already (callers
+    pass ``symmetrize``'s result), so it is factored as it stands."""
     vols = np.asarray(vols, dtype=float)
     if np.any(vols <= 0):
         raise InvalidInput("vols must be positive")
     c = corr + 1e-10 * np.eye(corr.shape[0])
     try:
-        return cholesky(c), vols
-    except NotPositiveDefinite:
+        return np.linalg.cholesky(c), vols
+    except np.linalg.LinAlgError:
         raise NotPositiveDefinite("correlation matrix not PD after jitter")
 
 
@@ -150,7 +150,8 @@ def simulate_returns(corr, vols, t: int, seed: int, stream: int = 0):
     """T x dim zero-mean Gaussian panel with covariance D corr D."""
     if t < 2:
         raise InvalidInput("t must be >= 2")
-    return _draw_returns(*_return_factor(corr, vols), t, seed, stream)
+    return _draw_returns(*_return_factor(symmetrize(corr), vols), t, seed,
+                         stream)
 
 
 def max_drawdown(returns_path: np.ndarray) -> float | np.ndarray:

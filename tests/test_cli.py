@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -552,6 +553,28 @@ def test_repro_runs_without_scipy(tmp_path):
                        capture_output=True, text=True)
     assert (r.returncode, r.stderr) == (0, "")
     assert tree(out) == tree(tmp_path / "ref")
+
+
+def test_repro_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # A12 holds across BLAS thread counts, not only across --threads: one
+    # process pinned to one BLAS thread, one given every core (at least 2)
+    path = tmp_path / "repro.json"
+    path.write_text(json.dumps(REPRO_CONFIG))
+    trees = []
+    for threads in ("1", str(max(2, len(os.sched_getaffinity(0))))):
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[var] = threads
+        out = tmp_path / f"blas-{threads}"
+        r = subprocess.run(
+            [sys.executable, "-m", "corrlab.cli", "repro", "--config",
+             str(path), "--out", str(out), "--force"],
+            capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        trees.append(tree(out))
+    assert len(trees[0]) == 16
+    assert trees[0] == trees[1]
 
 
 class TestSampleAndInspect:

@@ -236,6 +236,20 @@ class TestNearestCorrelation:
             assert residuals[-1] <= core.DEFAULT_TOL
             assert len(residuals) <= 15
 
+    def test_far_inputs_certify_by_the_last_residual(self):
+        # the line search decreases theta, not the residual, so far from
+        # the elliptope the residual list can rise; its last entry certifies
+        g = np.random.Generator(np.random.PCG64(2026))
+        rising = 0
+        for _ in range(20):
+            m = 50.0 * g.standard_normal((16, 16))
+            out, residuals = core.nearest_correlation(m + m.T,
+                                                      return_info=True)
+            rising += bool(np.any(np.diff(residuals) > 0))
+            assert residuals[-1] <= core.DEFAULT_TOL
+            assert core.validate(out).is_valid
+        assert rising >= 5  # the draws cover lists that rise
+
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 20, 40])
     def test_tied_eigenvalues(self, dim):
         # 2I - J has eigenvalues {2 - dim, 2, ..., 2}; equal blocks repeat

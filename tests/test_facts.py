@@ -279,6 +279,29 @@ class TestAverageLinkage:
             assert np.isnan(facts.cophenetic_coeff(np.eye(2)))
 
 
+@st.composite
+def tied_correlations(draw):
+    """Symmetric unit-diagonal matrices whose off-diagonal entries take a
+    few rounded values, so many distances and merged heights tie."""
+    dim = draw(st.integers(2, 40))
+    values = draw(st.lists(st.sampled_from([-0.5, -0.2, 0.0, 0.1, 0.3, 0.5,
+                                            0.7, 0.9]),
+                           min_size=1, max_size=4, unique=True))
+    g = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    c = np.triu(g.choice(values, (dim, dim)), 1)
+    c += c.T
+    np.fill_diagonal(c, 1.0)
+    return c
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_correlations())
+def test_linkage_matches_scipy_on_ties(c):
+    y = facts.corr_distance(c)[np.triu_indices(c.shape[0], 1)]
+    TestAverageLinkage().assert_matches_scipy(
+        c, structureless=np.ptp(y * y) <= 16 * np.finfo(float).eps)
+
+
 def equicorrelated(dim, rho):
     c = np.full((dim, dim), rho)
     np.fill_diagonal(c, 1.0)
@@ -499,6 +522,59 @@ class TestClustering:
             assert facts._silhouette(d, labels) == mc_reference.silhouette(
                 d, labels), k
         assert facts.cluster_separation(c) == mc_reference.cluster_separation(c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["regime", "onion", "blocks", "duplicated"]),
+        st.integers(min_value=4, max_value=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.data(),
+    )
+    def test_lockstep_swap_matches_reference_per_set(self, kind, dim, seed,
+                                                     data):
+        d = facts.corr_distance(pam_input(kind, dim, seed))
+        dt = np.ascontiguousarray(d.T)
+        ks = data.draw(st.lists(st.integers(1, dim - 1), min_size=1,
+                                max_size=6))
+        build = facts._build(d, dt, max(ks))
+        found = facts._swap(dt, [sorted(build[:k]) for k in ks])
+        assert len(found) == len(ks)
+        for k, (medoids, labels) in zip(ks, found):
+            ref_medoids, ref_labels = mc_reference.kmedoids(d, k)
+            assert np.array_equal(medoids, ref_medoids), k
+            assert np.array_equal(labels, ref_labels), k
+        # any sorted starting sets: the stack gives each set's own search
+        g = np.random.Generator(np.random.PCG64(seed))
+        sets = [sorted(g.choice(dim, k, replace=False).tolist()) for k in ks]
+        for (medoids, labels), start in zip(facts._swap(dt, sets), sets):
+            alone = facts._swap(dt, [start])[0]
+            assert np.array_equal(medoids, alone[0])
+            assert np.array_equal(labels, alone[1])
+
+    def test_cluster_separation_scans_in_lockstep(self, monkeypatch):
+        d = facts.corr_distance(
+            sample_regime(RegimeLabel.NORMAL, 24, seed=7, stream=23))
+        scans = []
+        scan = facts._scan
+        monkeypatch.setattr(facts, "_scan", lambda dt, sets: scans.append(
+            [tuple(s) for s in sets]) or scan(dt, sets))
+        facts._cluster_separation(d)
+        rounds, scans[:] = list(scans), []
+        alone = {}
+        for k in range(2, 7):
+            facts._kmedoids(d, k)
+            alone[k], scans[:] = [s for (s,) in scans], []
+        # one cost evaluation per round scores every k still searching
+        assert len(rounds) == max(map(len, alone.values()))
+        assert len(rounds) < sum(map(len, alone.values()))
+        stacked = {k: [s for sets in rounds for s in sets if len(s) == k]
+                   for k in alone}
+        assert stacked == alone
+        # a new pass reads the scan that ended the last one: no set is
+        # scored twice in a row
+        assert sum(len(seq) - 1 for seq in alone.values()) >= 10  # swaps
+        for seq in alone.values():
+            assert all(a != b for a, b in zip(seq, seq[1:]))
 
     def test_silhouette_singleton_and_single_cluster(self):
         d = facts.corr_distance(block_matrix(6))
