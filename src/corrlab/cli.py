@@ -55,7 +55,7 @@ from .exceptions import (
     ParseError,
     UnsupportedVersion,
 )
-from .facts import FEATURE_NAMES, stylized_report
+from .facts import DEFAULT_Q_RATIO, FEATURE_NAMES, stylized_report
 from .samplers import (
     REGIMES,
     RegimeLabel,
@@ -406,6 +406,9 @@ def cmd_mc_run(args):
     if source.get("generator", "checkpoint") != "checkpoint":
         raise ConfigError("mc config 'generator' must be \"checkpoint\" or "
                           f"absent, not {source['generator']!r}")
+    if "checkpoint" in source and "generator" not in source:
+        raise ConfigError("mc config 'checkpoint' is read only with "
+                          "'generator': \"checkpoint\"")
     if "generator" in source:
         if not isinstance(source.get("checkpoint"), str):
             raise ConfigError("mc config 'checkpoint' must name a directory")
@@ -422,6 +425,8 @@ def cmd_mc_run(args):
 
 
 def cmd_mc_explain(args):
+    if args.limit < 0:
+        raise InvalidInput(f"--limit must be >= 0, not {args.limit}")
     records = mc.read_records(args.records)
     report, explain = _surrogate_report(
         records, args.target, _provenance(_args_bytes(args), None))
@@ -571,7 +576,7 @@ def build_parser():
     s = sub.add_parser("project", help="nearest correlation matrix")
     s.add_argument("--in", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--tol", type=float, default=1e-8,
+    s.add_argument("--tol", type=float, default=core.DEFAULT_TOL,
                    help="bound on the dual residual ||diag(X) - 1||_2 / "
                         "sqrt(n) that certifies the result (finite, > 0)")
     s.set_defaults(func=cmd_project)
@@ -579,7 +584,7 @@ def build_parser():
     s = sub.add_parser("metrics", help="stylized-fact report")
     s.add_argument("--in", required=True)
     s.add_argument("--report", required=True)
-    s.add_argument("--q-ratio", type=float, default=80.0 / 252.0)
+    s.add_argument("--q-ratio", type=float, default=DEFAULT_Q_RATIO)
     s.set_defaults(func=cmd_metrics)
 
     s = sub.add_parser("geometry", help="Fisher-Rao geodesics and means")

@@ -8,7 +8,7 @@ Container format "ECORP v1": a directory holding
   row-major, concatenated in item order.
 
 Corpora come from two sources: rolling Pearson estimation over a returns
-CSV with regime labels derived from equally weighted portfolio
+CSV with regime labels from the terciles of equally weighted portfolio
 performance, or the surrogate regime sampler.
 """
 
@@ -32,7 +32,7 @@ from .exceptions import (
     InvalidInput,
     ParseError,
 )
-from .samplers import DEFAULT_REGIME_PARAMS, REGIMES, RegimeLabel, sample_regime
+from .samplers import REGIMES, RegimeLabel, sample_regime
 
 ECORP_VERSION = 1
 
@@ -44,8 +44,11 @@ class CorpusSource(Enum):
 
 @dataclass
 class WindowSpec:
-    length: int = 252
-    step: int = 21
+    """Rolling-window length and step, in observations (``corpus build``'s
+    ``--window`` and ``--step``)."""
+
+    length: int
+    step: int
 
     def __post_init__(self):
         if self.step < 1:
@@ -105,21 +108,14 @@ def window_count(t: int, window: WindowSpec) -> int:
     return (t - window.length) // window.step + 1
 
 
-def ingest_returns(
-    csv_path,
-    window: WindowSpec | None = None,
-    thresholds: tuple[float, float] | None = None,
-    repair_tol: float = 1e-10,
-) -> LabeledCorpus:
+def ingest_returns(csv_path, window: WindowSpec) -> LabeledCorpus:
     """Rolling Pearson correlations labeled by EW-portfolio performance.
 
-    Default labeling splits windows into terciles of cumulative equally
-    weighted return (worst third stressed, best third rally).  Passing
-    ``thresholds=(lo, hi)`` switches to fixed per-window thresholds.
-    Estimated matrices that fail PSD at ``repair_tol`` are repaired by
-    nearest-correlation projection; repairs are counted in the metadata.
+    Windows are split into terciles of cumulative equally weighted return
+    (worst third stressed, best third rally).  Estimated matrices that
+    fail PSD at tolerance 1e-10 are repaired by nearest-correlation
+    projection; repairs are counted in the metadata.
     """
-    window = window or WindowSpec()
     names, data = read_returns_csv(csv_path)
     t, d = data.shape
     if window.length < d + 2:
@@ -143,25 +139,14 @@ def ingest_returns(
         c = np.corrcoef(block, rowvar=False)
         c = symmetrize(c)
         np.fill_diagonal(c, 1.0)
-        if not is_correlation(c, tol=repair_tol):
+        if not is_correlation(c, tol=1e-10):
             c = nearest_correlation(c)
             repairs += 1
         mats.append(c)
         perfs.append(float(block.mean(axis=1).sum()))
         metas.append({"window": w, "start": s, "end": e})
 
-    perfs = np.asarray(perfs)
-    if thresholds is not None:
-        lo, hi = thresholds
-        labels = [
-            RegimeLabel.STRESSED if p <= lo
-            else RegimeLabel.RALLY if p >= hi
-            else RegimeLabel.NORMAL
-            for p in perfs
-        ]
-    else:
-        labels = _tercile_labels(perfs)
-
+    labels = _tercile_labels(np.asarray(perfs))
     items = [
         CorpusItem(m, lab, meta) for m, lab, meta in zip(mats, labels, metas)
     ]
@@ -173,7 +158,7 @@ def ingest_returns(
             "assets": names,
             "window": {"length": window.length, "step": window.step},
             "repairs": repairs,
-            "labeling": "tercile" if thresholds is None else "fixed",
+            "labeling": "tercile",
         },
     )
 
@@ -192,22 +177,17 @@ def _tercile_labels(perfs: np.ndarray):
     return labels
 
 
-def build_surrogate(
-    count_per_regime: int,
-    dim: int,
-    params=None,
-    seed: int = 0,
-) -> LabeledCorpus:
-    """Balanced three-regime corpus from the surrogate market sampler."""
+def build_surrogate(count_per_regime: int, dim: int,
+                    seed: int = 0) -> LabeledCorpus:
+    """Balanced three-regime corpus from the surrogate market sampler at
+    its default regime parameters."""
     if count_per_regime < 1:
         raise InvalidInput("count_per_regime must be >= 1")
-    params = params or DEFAULT_REGIME_PARAMS
     items = []
     for r, regime in enumerate(REGIMES):
         for i in range(count_per_regime):
             m = sample_regime(
-                regime, dim, params[regime], seed=seed,
-                stream=r * count_per_regime + i,
+                regime, dim, seed=seed, stream=r * count_per_regime + i,
             )
             items.append(
                 CorpusItem(m, regime, {"stream": r * count_per_regime + i})

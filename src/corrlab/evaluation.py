@@ -30,6 +30,7 @@ from .gan import tri_from_matrix
 from .samplers import REGIMES
 
 EXACT_LIMIT = 512
+SLICES = 100  # directions of the sliced W2 beyond EXACT_LIMIT
 
 
 @dataclass
@@ -168,12 +169,12 @@ class W2Result:
         return self.value
 
 
-def wasserstein2(a, b, n_slices: int = 100, seed: int = 0) -> W2Result:
+def wasserstein2(a, b) -> W2Result:
     """2-Wasserstein distance between equal-size point clouds.
 
     Exact assignment (:func:`_assignment`) up to 512 points per side;
-    beyond that, a sliced approximation over ``n_slices`` random
-    directions, flagged ``exact=False``.  Unequal sizes are equalized by
+    beyond that, a sliced approximation over ``SLICES`` random directions
+    (seed 0), flagged ``exact=False``.  Unequal sizes are equalized by
     deterministic SHA-256 subsampling of the larger cloud.  Non-finite
     points raise ``InvalidInput``.
     """
@@ -193,16 +194,16 @@ def wasserstein2(a, b, n_slices: int = 100, seed: int = 0) -> W2Result:
         cols = _assignment(cost)
         return W2Result(float(np.sqrt(cost[np.arange(n), cols].mean())), True)
 
-    g = rng.generator(seed, 0)
+    g = rng.generator(0, 0)
     dim = pa.shape[1]
     total = 0.0
-    for _ in range(n_slices):
+    for _ in range(SLICES):
         u = g.standard_normal(dim)
         u /= np.linalg.norm(u)
         qa = np.sort(pa @ u)
         qb = np.sort(pb @ u)
         total += np.mean((qa - qb) ** 2)
-    return W2Result(float(np.sqrt(dim * total / n_slices)), False)
+    return W2Result(float(np.sqrt(dim * total / SLICES)), False)
 
 
 def distance_stats(real_sets, synth_sets) -> DistanceStats:
@@ -247,24 +248,23 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def train_feature_classifier(
-    x, y, seed: int = 0, hidden: int = 32, epochs: int = 400, lr: float = 1e-2
-):
-    """Softmax classifier over feature vectors, built on the neural engine."""
+def train_feature_classifier(x, y, seed: int = 0):
+    """Softmax classifier over feature vectors, built on the neural engine:
+    one tanh layer of 32 units, 400 full-batch Adam steps at rate 1e-2."""
     g = np.random.Generator(np.random.PCG64(rng.mix(seed, 5)))
     mu, sd = x.mean(axis=0), x.std(axis=0)
     sd = np.where(sd == 0, 1.0, sd)
     xs = ((x - mu) / sd).astype(np.float32)
     net = neural.Network(
         [
-            neural.Dense(x.shape[1], hidden, g), neural.Tanh(),
-            neural.Dense(hidden, len(REGIMES), g),
+            neural.Dense(x.shape[1], 32, g), neural.Tanh(),
+            neural.Dense(32, len(REGIMES), g),
         ],
         (x.shape[1],),
     )
-    opt = neural.Adam(net, lr=lr)
+    opt = neural.Adam(net, lr=1e-2)
     t = np.eye(len(REGIMES), dtype=np.float32)[y]
-    for _ in range(epochs):
+    for _ in range(400):
         logits, caches = net.forward(xs)
         p = _softmax(logits.astype(np.float64))
         dlogits = ((p - t) / len(xs)).astype(np.float32)
@@ -280,16 +280,14 @@ def _predict(net, scaler, x):
     return np.argmax(logits, axis=1)
 
 
-def classifier_fidelity(
-    real, synth, seed: int = 0, holdout_frac: float = 0.2
-) -> FidelityResult:
+def classifier_fidelity(real, synth, seed: int = 0) -> FidelityResult:
     """Confusion matrix of a feature-vector softmax classifier applied to
     synthetic samples against their conditioning labels.
 
     ``real`` and ``synth`` are :func:`corpus_features` pairs ``(x, y)``;
-    the classifier trains on ``real`` less a stratified holdout of at
-    least one matrix per regime.  ``InvalidInput`` when that holdout
-    would leave a regime of ``real`` with no training matrix.
+    the classifier trains on ``real`` less a stratified holdout of 20%,
+    and at least one matrix, of each regime.  ``InvalidInput`` when that
+    holdout would leave a regime of ``real`` with no training matrix.
     """
     x, y = real
     xs_, ys_ = synth
@@ -300,7 +298,7 @@ def classifier_fidelity(
         idx = np.flatnonzero(y == cls)
         g = rng.generator(seed, 100 + cls)
         idx = idx[g.permutation(len(idx))]
-        k = max(1, int(round(holdout_frac * len(idx))))
+        k = max(1, int(round(0.2 * len(idx))))
         if 0 < len(idx) <= k:
             raise InvalidInput(
                 f"the classifier's holdout takes all {len(idx)} real "

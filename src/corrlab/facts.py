@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import takewhile
 from typing import NamedTuple
 
 import numpy as np
@@ -55,8 +54,9 @@ class StylizedFactReport:
 
 def mp_bounds(q_ratio: float) -> tuple[float, float]:
     """Marchenko-Pastur support edges (1 +/- sqrt(q))^2 for q = dim/T."""
-    if q_ratio <= 0:
-        raise InvalidInput("q_ratio must be positive")
+    if not 0 < q_ratio < np.inf:
+        raise InvalidInput(
+            f"q_ratio must be a finite number > 0, not {q_ratio}")
     sq = np.sqrt(q_ratio)
     return ((1.0 - sq) ** 2, (1.0 + sq) ** 2)
 
@@ -504,21 +504,21 @@ def _silhouette(d: np.ndarray, labels: np.ndarray) -> float:
     return float(_silhouettes(d, [labels])[0])
 
 
-def cluster_separation(c: np.ndarray, k_range=range(2, 7)):
+def cluster_separation(c: np.ndarray):
     """Best mean silhouette over a k-medoids scan on sqrt(2(1-rho)).
 
-    The scan stops at the first k >= dim; a k below 2 makes one cluster,
-    whose silhouette (-1) never wins.  The greedy build runs once, to the
-    largest k scanned; every k's swap search starts from the first k of
-    its medoids (``_build`` is prefix-stable), and the searches run in one
-    lockstep ``_swap``, so every k gets the medoids that ``_kmedoids(d, k)``
-    gives.  Their silhouettes are scored in one ``_silhouettes`` call.
+    The scan covers k = 2..6, stopping below dim.  The greedy build runs
+    once, to the largest k scanned; every k's swap search starts from the
+    first k of its medoids (``_build`` is prefix-stable), and the searches
+    run in one lockstep ``_swap``, so every k gets the medoids that
+    ``_kmedoids(d, k)`` gives.  Their silhouettes are scored in one
+    ``_silhouettes`` call.  Below dim 3 there is no k to scan: -1, None.
     """
-    return _cluster_separation(corr_distance(c), k_range)
+    return _cluster_separation(corr_distance(c))
 
 
-def _cluster_separation(d: np.ndarray, k_range=range(2, 7)):
-    ks = [k for k in takewhile(lambda k: k < d.shape[0], k_range) if k >= 2]
+def _cluster_separation(d: np.ndarray):
+    ks = list(range(2, min(7, d.shape[0])))
     if not ks:
         return -1.0, None
     dt = np.ascontiguousarray(d.T)

@@ -52,48 +52,41 @@ def _eig_fun(a: np.ndarray, fun) -> np.ndarray:
     return (v * fun(w)) @ v.T
 
 
-def _check_pd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = symmetrize(a)
-    w = np.linalg.eigvalsh(a)
-    if w[0] <= 0:
-        raise NotPositiveDefinite(f"{name} has min eigenvalue {w[0]:.3e}")
-    return a
-
-
-def spd_sqrt(a):
-    return _eig_fun(a, np.sqrt)
-
-
-def spd_inv_sqrt(a):
-    return _eig_fun(a, lambda w: 1.0 / np.sqrt(w))
-
-
-def spd_power(a, t: float):
-    return _eig_fun(a, lambda w: np.power(w, t))
+def _whitened_pair(a, b):
+    """``(w, v, A^{-1/2} B A^{-1/2})`` from one eigh ``(w, v)`` of
+    symmetrize(a), whose least eigenvalue is the positive-definiteness
+    test of A; A^{1/2} is then ``(v * sqrt(w)) @ v.T``.
+    ``NotPositiveDefinite`` unless A and B are positive definite (a NaN
+    entry fails)."""
+    w, v = np.linalg.eigh(symmetrize(a))
+    if not w[0] > 0:
+        raise NotPositiveDefinite(f"A has min eigenvalue {w[0]:.3e}")
+    b = symmetrize(b)
+    least = np.linalg.eigvalsh(b)[0]
+    if not least > 0:
+        raise NotPositiveDefinite(f"B has min eigenvalue {least:.3e}")
+    if v.shape != b.shape:
+        raise InvalidInput("dimension mismatch")
+    ais = (v * (1.0 / np.sqrt(w))) @ v.T
+    return w, v, symmetrize(ais @ b @ ais)
 
 
 def airm_distance(a, b) -> float:
     """Fisher-Rao distance ||log(A^{-1/2} B A^{-1/2})||_F."""
-    a = _check_pd(a, "A")
-    b = _check_pd(b, "B")
-    if a.shape != b.shape:
-        raise InvalidInput("dimension mismatch")
-    ais = spd_inv_sqrt(a)
-    w = np.linalg.eigvalsh(symmetrize(ais @ b @ ais))
-    return float(np.sqrt(np.sum(np.log(w) ** 2)))
+    lam = np.linalg.eigvalsh(_whitened_pair(a, b)[2])
+    return float(np.sqrt(np.sum(np.log(lam) ** 2)))
 
 
 def geodesic(a, b, t: float) -> np.ndarray:
-    """Point gamma(t) = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}."""
+    """Point gamma(t) = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}.
+
+    A is decomposed once: that eigh gives its positive-definiteness test,
+    A^{1/2} and A^{-1/2}."""
     if not 0.0 <= t <= 1.0:
         raise InvalidInput(f"t must lie in [0, 1], got {t}")
-    a = _check_pd(a, "A")
-    b = _check_pd(b, "B")
-    if a.shape != b.shape:
-        raise InvalidInput("dimension mismatch")
-    asq = spd_sqrt(a)
-    ais = spd_inv_sqrt(a)
-    mid = spd_power(symmetrize(ais @ b @ ais), t)
+    w, v, whitened = _whitened_pair(a, b)
+    asq = (v * np.sqrt(w)) @ v.T
+    mid = _eig_fun(whitened, lambda lam: np.power(lam, t))
     return symmetrize(asq @ mid @ asq)
 
 

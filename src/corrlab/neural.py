@@ -455,7 +455,9 @@ def _layers(specs, rng, dtype):
     return layers
 
 
-def save_network(net: Network, directory, extra=None, seed=None, step=0):
+def save_network(net: Network, directory, seed=None, step=0):
+    """Write an NNCK v1 checkpoint: ``model.json`` (with an empty
+    ``extra`` object) and the float32 payload ``weights.f32le``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     blob = net.weight_bytes()
@@ -467,7 +469,7 @@ def save_network(net: Network, directory, extra=None, seed=None, step=0):
         "seed": seed,
         "step": step,
         "weights_sha256": hashlib.sha256(blob).hexdigest(),
-        "extra": extra or {},
+        "extra": {},
     }
     (directory / "model.json").write_text(
         json.dumps(model, indent=2, sort_keys=True)
@@ -484,13 +486,15 @@ _is_specs = checked.predicate(
     lambda x: isinstance(x, list) and all(map(checked.is_object, x)))
 
 
-def load_network(directory, dtype=np.float32):
-    """Read an NNCK v1 checkpoint.  ``UnsupportedVersion`` unless
-    ``model.json`` is tagged NNCK v1; ``CorruptData`` unless it is a JSON
-    object holding a ``weights_sha256`` that matches the payload, an
-    ``input_shape`` list of positive integers and a ``layers`` list of
-    layer specs that build a network on that input, and unless the payload
-    fills that network.  The payload size is checked before the layers'
+def load_network(directory):
+    """Read an NNCK v1 checkpoint as a float32 network.
+
+    ``UnsupportedVersion`` unless ``model.json`` is tagged NNCK v1;
+    ``CorruptData`` unless it is a JSON object holding a
+    ``weights_sha256`` that matches the payload, an ``input_shape`` list
+    of positive integers and a ``layers`` list of layer specs that build a
+    network on that input, and unless the payload fills that network.
+    The payload size is checked before the layers'
     parameters are gathered into one vector, so a spec that does not match
     the payload stops there; the layers' zero arrays are made first."""
     directory = Path(directory)
@@ -502,7 +506,7 @@ def load_network(directory, dtype=np.float32):
     if hashlib.sha256(blob).hexdigest() != model["weights_sha256"]:
         raise CorruptData("weights checksum mismatch")
     try:
-        layers = _layers(model["layers"], None, dtype)
+        layers = _layers(model["layers"], None, np.float32)
         size = sum(p.size for layer in layers for p in layer.params().values())
         if size * np.dtype("<f4").itemsize != len(blob):
             raise CorruptData("weight payload size mismatch")

@@ -163,11 +163,10 @@ def max_drawdown(returns_path: np.ndarray) -> float | np.ndarray:
     return float(dd) if np.ndim(dd) == 0 else dd
 
 
-def default_vols(dim: int, seed: int, stream: int = 0,
-                 sigma: float = 0.10) -> np.ndarray:
-    """Lognormal daily vols around 20% annualized."""
+def default_vols(dim: int, seed: int, stream: int = 0) -> np.ndarray:
+    """Lognormal daily vols around 20% annualized, log-sd 0.10."""
     g = rng.generator(seed, stream)
-    return np.exp(g.normal(np.log(0.2 / ANNUALIZATION), sigma, size=dim))
+    return np.exp(g.normal(np.log(0.2 / ANNUALIZATION), 0.10, size=dim))
 
 
 def backtest_methods(

@@ -54,8 +54,10 @@ class RegimeParams:
             raise InvalidInput("market beta range must satisfy 0 < lo < hi < 1")
         if self.n_clusters < 1 or self.hierarchy_depth < 1:
             raise InvalidInput("n_clusters and hierarchy_depth must be >= 1")
-        if self.intra_boost < 0 or self.noise_scale < 0:
-            raise InvalidInput("intra_boost and noise_scale must be >= 0")
+        if not (0 <= self.intra_boost < np.inf
+                and 0 <= self.noise_scale < np.inf):
+            raise InvalidInput(
+                "intra_boost and noise_scale must be finite numbers >= 0")
 
 
 # Defaults chosen so that mean correlation is ordered
@@ -73,8 +75,8 @@ def sample_onion(dim: int, eta: float, seed: int, stream: int = 0) -> np.ndarray
     """Draw from the LKJ(eta) density via the extended onion method."""
     if dim < 2:
         raise InvalidInput("dim must be >= 2")
-    if eta <= 0:
-        raise InvalidInput("eta must be positive")
+    if not 0 < eta < np.inf:
+        raise InvalidInput(f"eta must be a finite number > 0, not {eta}")
     g = rng.generator(seed, stream)
 
     beta = eta + (dim - 2) / 2.0
@@ -100,8 +102,9 @@ def sample_cvine(
     """C-vine construction from Beta(beta_a, beta_b) partial correlations."""
     if dim < 2:
         raise InvalidInput("dim must be >= 2")
-    if beta_a <= 0 or beta_b <= 0:
-        raise InvalidInput("beta parameters must be positive")
+    if not (0 < beta_a < np.inf and 0 < beta_b < np.inf):
+        raise InvalidInput("beta parameters must be finite numbers > 0, not "
+                           f"{beta_a} and {beta_b}")
     g = rng.generator(seed, stream)
 
     partials = np.zeros((dim, dim))
@@ -134,8 +137,8 @@ def sample_with_spectrum(
     dim = lam.size
     if dim < 2:
         raise InvalidInput("need at least two eigenvalues")
-    if np.any(lam < 0):
-        raise InvalidInput("eigenvalues must be nonnegative")
+    if not np.all(lam >= 0):
+        raise InvalidInput("eigenvalues must be numbers >= 0")
     if abs(lam.sum() - dim) > 1e-10:
         raise InvalidInput(
             f"eigenvalue sum must equal dim (got {lam.sum():.12g} != {dim})"

@@ -136,10 +136,12 @@ class TestExitCodes:
         ("mc run", {"count_per_regime": 2, "dim": "16"}),
         ("mc run", {"count_per_regime": 2, "seed": 1.0}),
         ("mc run", {"count_per_regime": 2, "generator": "checkpoint"}),
+        ("mc run", {"count_per_regime": 1, "dim": 8,
+                    "checkpoint": "nonexistent_dir"}),
     ], ids=["train-unknown-key", "train-not-object", "train-string-seed",
             "train-float-dim", "train-regime-count-4", "mc-not-object",
             "mc-float-count", "mc-string-dim", "mc-float-seed",
-            "mc-no-checkpoint"])
+            "mc-no-checkpoint", "mc-checkpoint-without-generator"])
     def test_bad_subcommand_config(self, tmp_path, capsys, command, config):
         corpus.write_corpus(corpus.build_surrogate(2, 16, seed=0),
                             tmp_path / "corpus")
@@ -162,24 +164,42 @@ class TestExitCodes:
         assert err == "error: invalid: count must be >= 1\n"
         assert not out.exists()
 
+    # each argv ends with the flag that names the output
     @pytest.mark.parametrize("argv", [
-        lambda d: ["sample", "--method", "spectrum"],
-        lambda d: ["sample", "--method", "spectrum", "--eigenvalues", "1,x"],
+        lambda d: ["sample", "--method", "spectrum", "--out"],
+        lambda d: ["sample", "--method", "spectrum", "--eigenvalues", "1,x",
+                   "--out"],
         lambda d: ["generate", "--ckpt", str(d / "ckpt"), "--regime",
-                   "normal", "--count", "0"],
-        lambda d: ["mc", "run", "--config", str(d / "mc.json")],
-        lambda d: ["repro", "--config", str(d / "repro.json")],
+                   "normal", "--count", "0", "--out"],
+        lambda d: ["mc", "run", "--config", str(d / "mc.json"), "--out"],
+        lambda d: ["repro", "--config", str(d / "repro.json"), "--out"],
+        lambda d: ["sample", "--method", "onion", "--eta", "nan", "--out"],
+        lambda d: ["sample", "--method", "onion", "--eta", "inf", "--out"],
+        lambda d: ["sample", "--method", "cvine", "--beta-a", "nan", "--out"],
+        lambda d: ["sample", "--method", "spectrum", "--eigenvalues", "nan,1",
+                   "--out"],
+        lambda d: ["metrics", "--in", str(d / "m.csv"), "--q-ratio", "nan",
+                   "--report"],
+        lambda d: ["metrics", "--in", str(d / "m.csv"), "--q-ratio", "inf",
+                   "--report"],
+        # the records file is missing (exit 3 if read): the limit is
+        # checked first
+        lambda d: ["mc", "explain", "--records", str(d / "none.ndjson"),
+                   "--target", "decay", "--limit", "-3", "--report"],
     ], ids=["spectrum-no-eigenvalues", "spectrum-not-numeric",
             "generate-count-zero", "mc-unknown-generator",
-            "repro-generate-count-zero"])
+            "repro-generate-count-zero", "onion-nan-eta", "onion-inf-eta",
+            "cvine-nan-beta", "spectrum-nan-eigenvalue", "metrics-nan-q-ratio",
+            "metrics-inf-q-ratio", "explain-negative-limit"])
     def test_rejected_before_writing(self, tmp_path, capsys, argv):
         gan.save_checkpoint(gan.build(gan.GanConfig()), tmp_path / "ckpt")
         (tmp_path / "mc.json").write_text(json.dumps(
             {"count_per_regime": 1, "dim": 8, "generator": "gan"}))
         (tmp_path / "repro.json").write_text(json.dumps(
             with_changes("generate", count_per_regime=0)))
+        write_matrix(tmp_path / "m.csv", np.eye(4))
         out = tmp_path / "out"
-        assert cli.main(argv(tmp_path) + ["--out", str(out)]) == 2
+        assert cli.main(argv(tmp_path) + [str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid:")
         assert err.count("\n") == 1
@@ -518,12 +538,20 @@ def test_unreadable_input_exits_3(tmp_path, capsys, command, target, how):
 
 def test_import_loads_no_scipy():
     # no module of the program imports scipy, so the CLI starts without
-    # paying for it
-    code = ("import sys, corrlab.cli; print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True, check=True)
-    assert r.stdout.strip() == "[]"
+    # paying for it; and numpy is its one runtime dependency: every module
+    # the import adds to a bare interpreter (whose site hooks may already
+    # load packages of their own) is corrlab's, numpy's or the stdlib's
+    def loaded(imports):
+        code = f"import {imports}; print(' '.join(sys.modules))"
+        return set(subprocess.run([sys.executable, "-c", code],
+                                  capture_output=True, text=True,
+                                  check=True).stdout.split())
+
+    after = loaded("sys, corrlab.cli")
+    assert "scipy" not in {m.split(".")[0] for m in after}
+    added = {m.split(".")[0] for m in after - loaded("sys")}
+    assert "corrlab" in added
+    assert added - {"corrlab", "numpy"} <= set(sys.stdlib_module_names)
 
 
 def test_repro_runs_without_scipy(tmp_path):

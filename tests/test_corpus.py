@@ -83,14 +83,6 @@ class TestIngest:
         assert labels.count(RegimeLabel.STRESSED) == 1
         assert labels.count(RegimeLabel.RALLY) == 1
 
-    def test_fixed_thresholds(self, tmp_path):
-        p = tmp_path / "r.csv"
-        write_returns(p, t=300, d=4, seed=2)
-        corp = corpus.ingest_returns(
-            p, WindowSpec(252, 21), thresholds=(-1e9, 1e9)
-        )
-        assert all(lab is RegimeLabel.NORMAL for lab in corp.labels())
-
     def test_constant_column(self, tmp_path):
         p = tmp_path / "r.csv"
         data = write_returns(p, t=260, d=4, seed=3)

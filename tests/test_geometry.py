@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from corrlab import geometry, samplers
-from corrlab.core import validate
+from corrlab.core import symmetrize, validate
 from corrlab.exceptions import NotPositiveDefinite
 from corrlab.geometry import MeanMethod
 from corrlab.samplers import RegimeLabel
@@ -42,6 +42,13 @@ class TestDistance:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             geometry.airm_distance(np.eye(2), corr2(1.5))
+        # either side, and a NaN entry, which fails no `<= 0` test
+        for bad in (corr2(1.5), corr2(np.nan)):
+            for pair in ((bad, np.eye(2)), (np.eye(2), bad)):
+                with pytest.raises(NotPositiveDefinite):
+                    geometry.airm_distance(*pair)
+                with pytest.raises(NotPositiveDefinite):
+                    geometry.geodesic(*pair, 0.5)
 
 
 class TestGeodesic:
@@ -65,6 +72,29 @@ class TestGeodesic:
         assert geometry.airm_distance(a, q) == pytest.approx(
             0.25 * total, rel=1e-6
         )
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 24])
+    def test_one_decomposition_of_a_keeps_the_bits(self, dim):
+        # the composition of separate square-root, inverse-root and power
+        # eigendecompositions that geodesic and airm_distance replace
+        def fun(m, f):
+            w, v = np.linalg.eigh(symmetrize(m))
+            return (v * f(w)) @ v.T
+
+        for seed in range(10):
+            a = samplers.sample_onion(dim, 1.0, seed, stream=0)
+            b = samplers.sample_onion(dim, 1.0, seed, stream=1)
+            a, b = symmetrize(a), symmetrize(b)
+            asq = fun(a, np.sqrt)
+            ais = fun(a, lambda w: 1.0 / np.sqrt(w))
+            whitened = symmetrize(ais @ b @ ais)
+            lam = np.linalg.eigvalsh(whitened)
+            assert geometry.airm_distance(a, b) == float(
+                np.sqrt(np.sum(np.log(lam) ** 2)))
+            for t in (0.0, 0.3, 0.5, 1.0):
+                mid = fun(whitened, lambda w: np.power(w, t))
+                assert np.array_equal(geometry.geodesic(a, b, t),
+                                      symmetrize(asq @ mid @ asq))
 
 
 class TestMeans:

@@ -137,6 +137,11 @@ class TestRegime:
             RegimeParams((0.2, 0.5), 0, 0.1, 0.01)
         with pytest.raises(InvalidInput):
             RegimeParams((0.2, 0.5), 2, -0.1, 0.01)
+        for bad in (np.nan, np.inf):  # each fails no `< 0` test
+            with pytest.raises(InvalidInput):
+                RegimeParams((0.2, 0.5), 2, bad, 0.01)
+            with pytest.raises(InvalidInput):
+                RegimeParams((0.2, 0.5), 2, 0.1, bad)
 
     def test_stream_independence(self):
         a = samplers.sample_regime(RegimeLabel.NORMAL, 8, seed=1, stream=4)
