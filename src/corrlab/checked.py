@@ -76,33 +76,36 @@ def require(obj, what, tags=None, **checks) -> dict:
     return obj
 
 
-def config(cls, obj, what, required=(), error=ConfigError):
-    """``cls(**obj)``; ``error`` naming ``what`` unless ``obj`` is a JSON
-    object holding every key of ``required`` and no key ``cls`` does not
-    take, with values for which ``cls`` raises no ``ConfigError`` or
-    ``InvalidInput``."""
+def config(cls, obj, what, required=(), error=ConfigError, **lows):
+    """``cls(**obj)`` checked by ``integers`` with ``lows``; ``error`` naming
+    ``what`` unless ``obj`` is a JSON object holding every key of
+    ``required`` and every parameter of ``cls`` without a default, no key
+    ``cls`` does not take, and values that ``cls`` and ``integers`` accept."""
     if not isinstance(obj, dict):
         raise error(f"{what} must be a JSON object")
-    missing = [key for key in required if key not in obj]
+    params = inspect.signature(cls).parameters
+    needed = [key for key, p in params.items() if p.default is p.empty]
+    missing = [key for key in (*required, *needed) if key not in obj]
     if missing:
         raise error(f"{what} lacks {missing}")
-    unknown = sorted(set(obj) - set(inspect.signature(cls).parameters))
+    unknown = sorted(set(obj) - set(params))
     if unknown:
         raise error(f"{what} holds unknown keys {unknown}")
     try:
-        return cls(**obj)
+        return integers(cls(**obj), ConfigError, **lows)
     except (ConfigError, InvalidInput) as exc:
         raise error(f"{what}: {exc}") from None
 
 
 def integers(obj, error, **lows):
-    """Raise ``error`` naming the first attribute of ``obj`` in ``lows``
+    """``obj``; ``error`` naming the first attribute of ``obj`` in ``lows``
     that is not an integer, or is below its low when that is not None."""
     for name, low in lows.items():
         value = getattr(obj, name)
         if not is_int(value) or (low is not None and value < low):
             bound = "" if low is None else f" >= {low}"
             raise error(f"{name} must be an integer{bound}, not {value!r}")
+    return obj
 
 
 def predicate(text, test):

@@ -6,9 +6,14 @@ version, SHA-256 of the governing config, master seed).
 
 Each pipeline stage is one function that its subcommand and ``repro`` both
 call: ``corpus synth``, ``train``, ``generate``, ``evaluate``, ``mc run``,
-``mc findings`` and ``mc explain`` run the code of ``repro``'s stages.  The
-``gan`` and ``mc`` configs are each read by ``checked.config``, so a bad
-config exits 2 from ``train``, ``mc run`` and ``repro`` alike.
+``mc findings`` and ``mc explain`` run the code of ``repro``'s stages.
+Every config section is read by ``checked.config``, so one with an unknown
+key, a missing key or a bad value exits 2 from ``train``, ``mc run`` and
+``repro`` before anything is written.  In a ``repro`` config, the top-level
+and ``eval`` ``seed`` (both optional) and the keys of ``corpus`` and
+``generate`` are integers, ``corpus.dim`` >= 4 equals ``gan.dim``, each
+``count_per_regime`` >= 1, and ``mc.count_per_regime`` >= 27 gives the
+surrogate fit ``mc.SURROGATE_MIN_RECORDS`` (80) records.
 
 ``repro`` runs the whole surrogate pipeline from one config file as five
 stages, each keyed on the canonical JSON of its own sub-config plus the
@@ -27,8 +32,7 @@ A stage's key is the ``config_sha256`` of its provenance block, stored in
 ``--force``, when that block is missing, unreadable or different, or when
 one of the stage's payload files is missing; a stage it skips reads nothing
 back.  So changing ``mc.seed`` reruns only the study, and the reused files
-are byte-identical to rebuilt ones.  The config is checked for every
-section and key the stages read before anything is written.
+are byte-identical to rebuilt ones.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import hashlib
 import io
 import json
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -252,16 +256,6 @@ def cmd_portfolio(args):
 # pipeline stages, each written once and called by its subcommand and repro
 
 
-def _check_section(cfg, ints, what):
-    """Raise ``ConfigError`` unless ``cfg`` is a JSON object in which every
-    key of ``ints`` it holds is an integer."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    bad = [k for k in ints if k in cfg and not checked.is_int(cfg[k])]
-    if bad:
-        raise ConfigError(f"{what} {bad} must be integers")
-
-
 def _synth_corpus(count_per_regime, dim, seed, out, **meta):
     """Write a surrogate corpus to ``out``, adding ``meta`` to its own."""
     corp = corpus_mod.build_surrogate(count_per_regime, dim, seed=seed)
@@ -440,44 +434,48 @@ def cmd_mc_findings(args):
                     _provenance(_args_bytes(args), None))
 
 
+# a repro config and the sections that no library class reads
+_Repro = namedtuple("_Repro", "corpus gan generate mc eval seed",
+                    defaults=({}, 0))
+_Corpus = namedtuple("_Corpus", "count_per_regime dim seed")
+_Generate = namedtuple("_Generate", "count_per_regime seed")
+_Eval = namedtuple("_Eval", "seed", defaults=(0,))
+
+
 def _check_repro_config(cfg):
-    """The ``GanConfig`` and ``McConfig`` of ``cfg``; ``ConfigError``
-    unless ``cfg`` holds what every stage reads."""
-    _check_section(cfg, (), "repro config")
-    for section, keys in (("corpus", ("count_per_regime", "dim", "seed")),
-                          ("generate", ("count_per_regime", "seed"))):
-        what = f"repro config {section!r}"
-        _check_section(cfg.get(section), keys, what)
-        missing = [k for k in keys if k not in cfg[section]]
-        if missing:
-            raise ConfigError(f"{what} lacks {missing}")
-    if cfg["generate"]["count_per_regime"] < 1:
-        raise ConfigError("repro config 'generate' count_per_regime must be "
-                          ">= 1")
-    _check_section(cfg.get("eval", {}), ("seed",), "repro config 'eval'")
-    gan_config = checked.config(gan.GanConfig, cfg.get("gan"),
-                                "repro config 'gan'")
-    if gan_config.dim != cfg["corpus"]["dim"]:
-        raise ConfigError(f"repro config 'gan' dim {gan_config.dim} != "
-                          f"corpus dim {cfg['corpus']['dim']}")
-    return gan_config, checked.config(
-        mc.McConfig, cfg.get("mc"), "repro config 'mc'",
-        required=("count_per_regime", "dim", "seed"))
+    """``cfg`` as a ``_Repro`` of checked sections, or ``ConfigError``."""
+    top = checked.config(_Repro, cfg, "repro config", seed=None)
+
+    def read(name, cls, required=(), **lows):
+        return checked.config(cls, getattr(top, name),
+                              f"repro config {name!r}", required, **lows)
+
+    config = top._replace(
+        corpus=read("corpus", _Corpus, count_per_regime=1, dim=4, seed=None),
+        generate=read("generate", _Generate, count_per_regime=1, seed=None),
+        eval=read("eval", _Eval, seed=None),
+        gan=read("gan", gan.GanConfig),
+        mc=read("mc", mc.McConfig, ("count_per_regime", "dim", "seed"),
+                count_per_regime=-(-mc.SURROGATE_MIN_RECORDS
+                                   // len(REGIMES))))
+    if config.gan.dim != config.corpus.dim:
+        raise ConfigError(f"repro config 'gan' dim {config.gan.dim} != "
+                          f"corpus dim {config.corpus.dim}")
+    return config
 
 
 def cmd_repro(args):
     cfg = checked.read_json(args.config)
-    gan_config, mc_config = _check_repro_config(cfg)
+    config = _check_repro_config(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     corpus_dir, ckpt_dir, synth_dir = out / "corpus", out / "ckpt", out / "synth"
-    corpus_cfg, gen_cfg, eval_cfg = cfg["corpus"], cfg["generate"], cfg.get("eval", {})
 
     def stage(*inputs):
         """Provenance of a stage; its key hashes the stage's own sub-config
         and the keys of the stages it reads."""
         key_bytes = json.dumps(inputs, sort_keys=True).encode()
-        return _provenance(key_bytes, cfg.get("seed", 0))
+        return _provenance(key_bytes, config.seed)
 
     def fresh(marker, prov, *outputs):
         """True when a stage must be (re)built: ``--force``, one of its
@@ -497,38 +495,36 @@ def cmd_repro(args):
         return True
 
     # 1. surrogate corpus
-    corpus_prov = stage(corpus_cfg)
+    corpus_prov = stage(cfg["corpus"])
     if fresh(corpus_dir / "provenance.json", corpus_prov,
              corpus_dir / "manifest.json", corpus_dir / "matrices.f64le"):
-        _synth_corpus(corpus_cfg["count_per_regime"], corpus_cfg["dim"],
-                      corpus_cfg["seed"], corpus_dir)
+        _synth_corpus(*config.corpus, corpus_dir)
         _write_json(corpus_dir / "provenance.json", corpus_prov)
 
     # 2. train
     train_prov = stage(cfg["gan"], corpus_prov["config_sha256"])
     if fresh(ckpt_dir / "provenance.json", train_prov):
-        _train(gan_config, corpus_dir, ckpt_dir, train_prov)
+        _train(config.gan, corpus_dir, ckpt_dir, train_prov)
 
     # 3. generate
-    gen_prov = stage(gen_cfg, train_prov["config_sha256"])
+    gen_prov = stage(cfg["generate"], train_prov["config_sha256"])
     if fresh(synth_dir / "provenance.json", gen_prov,
              synth_dir / "manifest.json", synth_dir / "matrices.f64le"):
-        _generate(ckpt_dir, REGIMES, gen_cfg["count_per_regime"],
-                  gen_cfg["seed"], synth_dir)
+        _generate(ckpt_dir, REGIMES, *config.generate, synth_dir)
         _write_json(synth_dir / "provenance.json", gen_prov)
 
     # 4. evaluate
-    eval_prov = stage(eval_cfg, corpus_prov["config_sha256"],
+    eval_prov = stage(cfg.get("eval", {}), corpus_prov["config_sha256"],
                       gen_prov["config_sha256"])
     if fresh(out / "evaluation.json", eval_prov):
-        _evaluate(corpus_dir, synth_dir, eval_cfg.get("seed", 0),
+        _evaluate(corpus_dir, synth_dir, config.eval.seed,
                   out / "evaluation.json", eval_prov)
 
     # 5. monte carlo + findings + attribution (regime sampler, not the GAN)
     mc_prov = stage(cfg["mc"])
     if fresh(out / "shap.json", mc_prov,
              out / "records.ndjson", out / "findings.json"):
-        records = _run_mc(mc_config, out / "records.ndjson")
+        records = _run_mc(config.mc, out / "records.ndjson")
         _write_findings(records, out / "findings.json", mc_prov)
         report, explain = _surrogate_report(records, "outperformance", mc_prov)
         report["example_attribution"] = explain(records[0])

@@ -40,7 +40,7 @@ class ValidationReport:
 
 
 def as_symmetric(m) -> np.ndarray:
-    """Coerce to a float64 square array, checking exact storage symmetry."""
+    """A float64 square array of dim >= 2; its symmetry is not checked."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")

@@ -210,6 +210,7 @@ class SurrogateModel:
 
 
 TARGETS = ("outperformance", "decay")
+SURROGATE_MIN_RECORDS = 10 * len(FEATURE_NAMES)  # fit_surrogate's minimum
 
 
 def target_value(record: McRecord, target: str) -> float:
@@ -227,10 +228,9 @@ def design_matrix(records) -> np.ndarray:
 def fit_surrogate(records, target: str = "outperformance") -> SurrogateModel:
     """OLS with intercept on standardized features."""
     n, k = len(records), len(FEATURE_NAMES)
-    if n < 10 * k:
-        raise InvalidInput(
-            f"need at least {10 * k} records for {k} features, got {n}"
-        )
+    if n < SURROGATE_MIN_RECORDS:
+        raise InvalidInput(f"need at least {SURROGATE_MIN_RECORDS} records "
+                           f"for {k} features, got {n}")
     x = design_matrix(records)
     y = np.asarray([target_value(r, target) for r in records])
     mu, sd = x.mean(axis=0), x.std(axis=0)

@@ -8,6 +8,7 @@ import inspect
 import json
 import re
 import tempfile
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,18 @@ class TestConfig:
         with pytest.raises(CorruptData, match=message):
             checked.config(mc.McConfig, obj, "x", required=required,
                            error=CorruptData)
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"b": 2}, r"x lacks \['a'\]"),
+        ({"a": 1, "b": 0}, "x: b must be an integer >= 1, not 0"),
+        ({"a": "1"}, "x: a must be an integer, not '1'"),
+    ], ids=["parameter-without-default", "below-low", "not-integer"])
+    def test_needs_parameters_without_default_and_applies_lows(self, obj,
+                                                               message):
+        pair = namedtuple("pair", "a b", defaults=(1,))
+        assert checked.config(pair, {"a": 5}, "x", a=None, b=1) == (5, 1)
+        with pytest.raises(ConfigError, match=message):
+            checked.config(pair, obj, "x", a=None, b=1)
 
 
 FIELDS = sorted({*inspect.signature(gan.GanConfig).parameters,

@@ -109,9 +109,21 @@ class TestExitCodes:
         lambda c: c["gan"].update(epochs=True),
         lambda c: c["gan"].update(learning_rate=0.1),
         lambda c: c["gan"].update(regime_count=4),
+        lambda c: c["corpus"].update(sede=7),
+        lambda c: c["generate"].update(count=4),
+        lambda c: c.update(eval={"sed": 3}),
+        lambda c: c.update(sed=7),
+        lambda c: [c[section].update(dim=3) for section in ("corpus", "gan")],
+        lambda c: c["corpus"].update(count_per_regime=0),
+        lambda c: c.update(seed="7"),
+        # 3 x 26 records are fewer than the surrogate fit of shap.json needs
+        lambda c: c["mc"].update(count_per_regime=26),
     ], ids=["float-corpus-count", "string-generate-seed", "float-mc-dim",
             "string-mc-t-in", "null-eval-seed", "bool-gan-epochs",
-            "unknown-gan-key", "gan-regime-count-4"])
+            "unknown-gan-key", "gan-regime-count-4", "unknown-corpus-key",
+            "unknown-generate-key", "unknown-eval-key", "unknown-top-level-key",
+            "corpus-dim-3", "corpus-count-zero", "string-top-level-seed",
+            "mc-count-26"])
     def test_bad_repro_config(self, tmp_path, capsys, edit):
         cfg = json.loads(json.dumps(REPRO_CONFIG))
         edit(cfg)
@@ -740,6 +752,16 @@ REPRO_CONFIG = {
     "mc": {"count_per_regime": 30, "dim": 24, "t_in": 120, "t_out": 120,
            "seed": 11},
 }
+
+
+def test_readme_repro_example_passes_the_config_check():
+    """The ``repro`` config that README shows is one ``repro`` accepts."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("A `repro` configuration looks like:")[1]
+    config = cli._check_repro_config(
+        json.loads(example.split("```json\n")[1].split("```")[0]))
+    assert isinstance(config.gan, gan.GanConfig)
+    assert isinstance(config.mc, mc.McConfig)
 
 
 def with_changes(section, **changes):
